@@ -27,7 +27,7 @@ Usage::
     python -m repro timeline EXPERIMENT [--interval N] [--out t.json]
                                              # interval metric timelines
     python -m repro profile EXPERIMENT [--top N] [--out p.json]
-                            [--compare-batched]  # host wall-clock hotspots
+                                             # host wall-clock hotspots
     python -m repro report [EXPERIMENT] [--stream] [--interval N]
                                              # structured run reports
 
@@ -67,9 +67,6 @@ Perfetto counter tracks.
 ``profile`` runs one experiment under cProfile and attributes host
 wall-clock self-time to Cedar subsystems (engine / network / gmemory /
 monitor / ...), naming the frames that hold the events/sec plateau.
-``--compare-batched`` profiles the scalar and batched engine drains
-back to back and prints the subsystem-share delta — the map of where
-the remaining scalar time lives.
 
 ``report`` with an experiment name runs it instrumented and prints its
 RunReport JSON; with no name it aggregates the report directory into a
@@ -372,55 +369,22 @@ def _timeline(args) -> str:
 
 def _profile(args) -> str:
     import json
-    import os
 
     from repro.experiments.runner import clear_memoized_runs, experiment
-    from repro.monitor.profiler import (
-        profile_call,
-        render_comparison,
-        render_profile,
-    )
+    from repro.monitor.profiler import profile_call, render_profile
 
     exp = experiment(args.experiment)
     kwargs = exp.arguments(args.fast)
-
-    def _run(gate=None):
-        previous = os.environ.get("CEDAR_BATCHED")
-        if gate is not None:
-            os.environ["CEDAR_BATCHED"] = gate
-        try:
-            clear_memoized_runs()  # profile the simulation, not a memo replay
-            profile, _output = profile_call(
-                lambda: exp.runner(**kwargs),
-                experiment=args.experiment,
-                top=args.top,
-            )
-            return profile
-        finally:
-            if gate is not None:
-                if previous is None:
-                    os.environ.pop("CEDAR_BATCHED", None)
-                else:
-                    os.environ["CEDAR_BATCHED"] = previous
-
-    if args.compare_batched:
-        scalar = _run("0")
-        batched = _run("1")
-        sections = [
-            render_comparison(scalar, batched),
-            render_profile(batched),
-        ]
-        document = {
-            "scalar": scalar.to_dict(),
-            "batched": batched.to_dict(),
-        }
-    else:
-        profile = _run()
-        sections = [render_profile(profile)]
-        document = profile.to_dict()
+    clear_memoized_runs()  # profile the simulation, not a memo replay
+    profile, _output = profile_call(
+        lambda: exp.runner(**kwargs),
+        experiment=args.experiment,
+        top=args.top,
+    )
+    sections = [render_profile(profile)]
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(document, fh, indent=1)
+            json.dump(profile.to_dict(), fh, indent=1)
         sections.append(f"wrote {args.out}")
     return "\n\n".join(sections)
 
@@ -724,10 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="also write the profile document as JSON")
     profile_cmd.add_argument("--fast", action="store_true",
                              help="smoke-size cycle simulations")
-    profile_cmd.add_argument("--compare-batched", action="store_true",
-                             help="profile the scalar and batched engine "
-                                  "drains back to back and print the "
-                                  "subsystem-share delta")
 
     analyze = sub.add_parser(
         "analyze",

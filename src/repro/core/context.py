@@ -46,7 +46,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterator, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.core.config import CedarConfig, DEFAULT_CONFIG
-from repro.core.engine import Engine, make_engine
+from repro.core.engine import Engine
 from repro.monitor.signals import Signal, SignalBus
 
 
@@ -159,9 +159,7 @@ class SimContext:
         bus: Optional[SignalBus] = None,
     ) -> None:
         self.config = config
-        # feature-gated default: the batched drain unless CEDAR_BATCHED
-        # turns it off (an explicit ``engine`` always wins).
-        self.engine = engine if engine is not None else make_engine()
+        self.engine = engine if engine is not None else Engine()
         self.bus = bus if bus is not None else SignalBus()
         self._components: Dict[str, object] = {}
         for observer in tuple(_CONTEXT_OBSERVERS):

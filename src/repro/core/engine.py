@@ -8,79 +8,63 @@ Hot-path design
 ---------------
 
 Events are *slot-based records*: plain lists ``[when, seq, callback,
-args]`` ordered by ``(when, seq)``.  The record doubles as the
-**cancellation handle** — :meth:`Engine.cancel` blanks the callback
-slot in place, so cancellation is O(1) and cancelled slots are skipped
-(and reclaimed) when they surface at the head of the queue.
+args]``.  The record doubles as the **cancellation handle** —
+:meth:`Engine.cancel` blanks the callback slot in place, so cancellation
+is O(1) and cancelled slots are skipped (and reclaimed) when their turn
+comes.  The ``seq`` slot is always 0: a record's place in its
+timestamp's bucket *is* its scheduling order.
 
 Executed records are recycled through a bounded **free list** instead
-of being re-allocated per event: the run loops push each drained
+of being re-allocated per event: the drain pushes each dispatched
 record (blanked of its callback and args) onto the free list and
 ``schedule`` / ``schedule_after`` refill from it, so steady-state
 scheduling allocates nothing.  The cancellation contract is therefore
 *until the event runs*: a handle whose event has executed is dead and
 ``cancel`` on it returns ``False`` (the record may since have been
-recycled into a different pending event — holding handles past
-execution to cancel them later was never meaningful and is now
-undefined).
-
-The pending set is split into two structures:
-
-* a **sorted tail** (deque): most simulation scheduling is monotone —
-  each event is scheduled at or after the latest pending time — so an
-  append keeps the deque sorted by ``(when, seq)`` with no heap work;
-* a **heap** for the out-of-order remainder.
-
-The run loop merges the two sorted sequences by comparing their heads.
-Chained hot loops (the PFU issue loop, resource service/finish) hit
-the deque path: O(1) append, O(1) popleft, no sift.
+recycled into a different pending event).
 
 Callbacks take positional ``*args`` captured in the record, so hot
 loops schedule *bound methods with arguments* instead of allocating a
 fresh closure per event.
 
-:meth:`Engine.run_until_idle` is the batch fast path: a tight drain
-loop with no bound/predicate checks per event.  ``run()`` delegates to
-it whenever no bound is requested.
+The pending set is a **bucket queue**, shaped by the machine being
+simulated: Cedar's network is cycle-synchronous, so events cluster on
+timestamps (tens of link and module services finish in one cycle).  A
+dict maps each pending timestamp to the list of its records, and a heap
+holds the *unique* timestamps.  Scheduling is one dict probe and an
+append; the heap sees one push per new timestamp, not per event.
+Bucket lists are in scheduling order for free, so a popped bucket is
+the dispatch order with no sort.
 
-Batched dispatch
-----------------
+The drain (:meth:`Engine.run`) is one loop over timestamps that pops a
+whole bucket per iteration and dispatches it with one of two inner
+loops, chosen once per run:
 
-:class:`BatchedEngine` restructures both the pending set and the drain
-around the observation that events *cluster on timestamps* (a
-cycle-synchronous machine finishes tens of services per cycle):
+* **group dispatch** — for unbounded runs with no caller watchdog.
+  Consecutive records bound to the same function are handed to a
+  registered **group handler** (:func:`register_batch_handler`) in one
+  Python call instead of one frame per event; every other record is
+  called directly.  There are no per-event checks; an armed pulse is
+  visited only between timestamps, so it never observes a
+  half-dispatched cycle;
+* **checked dispatch** — for runs bounded by ``until``, ``max_events``
+  or ``stop_when``, or supervised by a :class:`Watchdog`.  One callback
+  per Python call, with the bounds, the predicate and the watchdog
+  checked after every event (``until`` between timestamps).  An armed
+  pulse is visited every ``every`` events, mid-bucket if need be.
 
-* the pending set becomes a **bucket queue** — a dict mapping each
-  pending timestamp to the list of its event records, plus a heap of
-  the *unique* timestamps.  Scheduling is one dict probe and an append
-  (no per-record heap sift; the heap sees one push per new timestamp,
-  roughly the number of distinct cycles instead of the number of
-  events), and bucket lists are sequence-ordered for free because
-  sequence numbers are globally monotone — appends arrive in seq
-  order, so a popped bucket IS the dispatch order with no sort;
-* the drain pops one whole timestamp bucket per transaction, stores
-  the clock once per batch, and hands consecutive events bound to the
-  same underlying function to a registered **group handler**
-  (:func:`register_batch_handler`) in one Python call instead of one
-  frame per event.  Group handlers inline hot callback chains (see
-  ``repro.network.resource``) while performing the identical state
-  mutations in the identical order — cancellation, ``request_stop``
-  mid-batch, and the resume contract all behave exactly as in the
-  scalar drain, so cycles, event counts, and final state are
-  bit-identical.
-
-:func:`make_engine` selects the engine class from the
-``CEDAR_BATCHED`` environment variable (default on); the scalar
-:class:`Engine` remains the reference semantics and the fallback for
-bounded/watchdogged runs.
+Cancellation,
+:meth:`Engine.request_stop` mid-bucket and the resume contract behave
+the same under both: the unconsumed rest of a bucket goes back on the
+queue, so a later run continues with no event lost, duplicated or
+reordered.  The committed golden outputs (``benchmarks/golden.py``)
+pin the simulated results of every registered experiment.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
-from collections import deque
 from time import perf_counter as _perf_counter
 from types import MethodType as _MethodType
 from typing import Callable, Dict, List, Optional, Tuple
@@ -106,14 +90,25 @@ class SimulationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# batched group dispatch
+# group dispatch
 #
-# A group handler receives one same-timestamp batch and a start index
+# A group handler receives one same-timestamp bucket and a start index
 # whose record's callback is a bound method of its registered function
 # (e.g. a ``Resource._finish`` due this cycle) and dispatches the
 # maximal run of such records in one Python call.  The registry is
-# keyed on the unbound function object; only :class:`BatchedEngine`
-# consults it.
+# keyed on the unbound function object and consulted only by the
+# group-dispatch inner loop of :meth:`Engine.run`.
+#
+# Handlers run inside the drain and work on the engine's own storage,
+# so they may read and write these :class:`Engine` internals, and
+# nothing else: ``_now`` (read only), ``_buckets`` / ``_ts_heap`` (to
+# schedule inline: append to the ``when`` bucket, or create it and push
+# ``when`` on the heap), ``_free`` (take and return records, capped at
+# ``_FREE_LIST_MAX``), ``_cancelled`` (decrement per reclaimed
+# cancelled slot), ``_stop_requested`` (read) and ``_group_progress``
+# (write, on the exception path below).  ``repro.network.resource``'s
+# ``_finish_batch`` is the one handler; a change to this storage is a
+# change to it too.
 
 #: unbound function -> ``handler(engine, batch, i, n) -> (next_i, executed)``.
 #: The handler must consume records from ``batch[i]`` forward, in
@@ -140,32 +135,18 @@ def register_batch_handler(func: Callable, handler: Callable) -> Callable:
 
     The handler must be *semantically transparent*: dispatching the run
     through it performs exactly the state mutations, in exactly the
-    order, that calling each record's callback in sequence would — the
-    bit-identity contract between :class:`BatchedEngine` and
-    :class:`Engine` rests on this.
+    order, that calling each record's callback in sequence would — as
+    the checked inner loop does — so a run's results do not depend on
+    which inner loop dispatched it.
     """
     _BATCH_HANDLERS[func] = handler
     return handler
 
 
-def batched_enabled() -> bool:
-    """Whether ``CEDAR_BATCHED`` selects the batched engine (default on).
-
-    Read at call time, not import time, so tests and the identity
-    harness can flip the gate between runs in one process.
-    """
-    return os.environ.get("CEDAR_BATCHED", "1").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
-
-
 def make_engine() -> "Engine":
-    """The feature-gated engine factory: a :class:`BatchedEngine` when
-    ``CEDAR_BATCHED`` is on (the default), a scalar :class:`Engine`
-    otherwise.  Machine assembly (``SimContext``) builds its engine
-    through this, so one environment variable flips every simulation in
-    the process between the two drains."""
-    return BatchedEngine() if batched_enabled() else Engine()
+    """The engine factory machine assembly (``SimContext``) builds
+    through."""
+    return Engine()
 
 
 class WatchdogError(SimulationError):
@@ -290,8 +271,11 @@ class Watchdog:
         raise WatchdogError(f"watchdog abort: {reason}", engine.dump_state())
 
 
+
+
 class Engine:
-    """A deterministic event-driven simulation kernel.
+    """A deterministic event-driven simulation kernel (see the module
+    docstring for the bucket queue and the drain).
 
     >>> eng = Engine()
     >>> hits = []
@@ -309,43 +293,48 @@ class Engine:
     """
 
     __slots__ = (
-        "_heap",
-        "_tail",
-        "_tail_last",
-        "_next_seq",
+        "_buckets",
+        "_ts_heap",
+        "_free",
         "_now",
         "_events_processed",
         "_cancelled",
         "_stop_requested",
+        "_group_progress",
         "_run_wall_s",
         "_runs",
         "_watchdog",
         "_pulse",
         "_pulse_every",
         "_pulse_watchdog",
-        "_free",
     )
 
     def __init__(self) -> None:
-        self._heap: List[list] = []
-        self._tail: deque = deque()
+        #: pending timestamp -> list of event records in scheduling
+        #: order.  Invariant: ``when`` is a key of ``_buckets`` iff
+        #: ``when`` is in ``_ts_heap`` (exactly once) — maintained by
+        #: scheduling (push on bucket creation only) and the drain (pop
+        #: both together).
+        self._buckets: Dict[float, List[list]] = {}
+        self._ts_heap: List[float] = []
         #: recycled event records (blanked); schedule paths refill from
         #: here so steady-state scheduling allocates no new lists.
         self._free: List[list] = []
-        #: timestamp of the tail's last record; -inf when the tail is
-        #: empty, so the monotone-append test is one float compare.
-        self._tail_last = float("-inf")
-        self._next_seq = itertools.count().__next__
         self._now: float = 0.0
         self._events_processed = 0
         self._cancelled = 0
         self._stop_requested = False
+        #: ``(next_i, executed)`` posted by a group handler that is
+        #: propagating an exception, so the drain requeues exactly the
+        #: unconsumed remainder (see :func:`register_batch_handler`).
+        self._group_progress: Optional[Tuple[int, int]] = None
         #: wall-clock seconds spent inside run loops (self-metrics).
         self._run_wall_s = 0.0
         self._runs = 0
-        #: armed run supervisor; None keeps the unchecked fast paths.
+        #: armed run supervisor; None (or the pulse-only supervisor)
+        #: keeps unbounded runs on the group-dispatch loop.
         self._watchdog: Optional[Watchdog] = None
-        #: armed pulse hook (heartbeats); rides the watchdog cadence.
+        #: armed pulse hook (heartbeats, metric timelines).
         self._pulse: Optional[Callable[["Engine"], None]] = None
         self._pulse_every = PULSE_CHECK_EVERY
         #: the internal pulse-only watchdog, when one is armed (so
@@ -361,12 +350,15 @@ class Engine:
     def events_processed(self) -> int:
         return self._events_processed
 
+    # -- scheduling into the bucket queue ----------------------------------
+
     def schedule(self, when: float, callback: Callable, *args) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute time ``when`` (>= now).
+        """Schedule ``callback(*args)`` at absolute time ``when`` (>= now;
+        NaN is refused).
 
         Returns the event's slot record, usable with :meth:`cancel`.
         """
-        if when < self._now:
+        if not when >= self._now:
             raise SimulationError(
                 f"cannot schedule event at {when} before current time {self._now}"
             )
@@ -374,45 +366,48 @@ class Engine:
         if free:
             record = free.pop()
             record[0] = when
-            record[1] = self._next_seq()
             record[2] = callback
             record[3] = args
         else:
-            record = [when, self._next_seq(), callback, args]
-        if when >= self._tail_last or not self._tail:
-            self._tail.append(record)
-            self._tail_last = when
+            record = [when, 0, callback, args]
+        buckets = self._buckets
+        bucket = buckets.get(when)
+        if bucket is None:
+            buckets[when] = [record]
+            _heappush(self._ts_heap, when)
         else:
-            _heappush(self._heap, record)
+            bucket.append(record)
         return record
 
     def schedule_after(self, delay: float, callback: Callable, *args) -> EventHandle:
-        """Schedule ``callback(*args)`` ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        """Schedule ``callback(*args)`` ``delay`` cycles from now
+        (``delay >= 0``; NaN is refused)."""
+        if not delay >= 0:
+            raise SimulationError(f"invalid delay {delay}: must be >= 0")
         when = self._now + delay
         free = self._free
         if free:
             record = free.pop()
             record[0] = when
-            record[1] = self._next_seq()
             record[2] = callback
             record[3] = args
         else:
-            record = [when, self._next_seq(), callback, args]
-        if when >= self._tail_last or not self._tail:
-            self._tail.append(record)
-            self._tail_last = when
+            record = [when, 0, callback, args]
+        buckets = self._buckets
+        bucket = buckets.get(when)
+        if bucket is None:
+            buckets[when] = [record]
+            _heappush(self._ts_heap, when)
         else:
-            _heappush(self._heap, record)
+            bucket.append(record)
         return record
 
     def cancel(self, handle: EventHandle) -> bool:
         """Cancel a scheduled event by its handle.
 
-        O(1): the slot is blanked in place and reclaimed lazily when it
-        reaches the head of the queue.  Returns ``False`` if the event
-        already ran or was already cancelled.
+        O(1): the slot is blanked in place and reclaimed lazily when its
+        turn comes.  Returns ``False`` if the event already ran or was
+        already cancelled.
         """
         if handle[2] is None:
             return False
@@ -430,135 +425,28 @@ class Engine:
         """
         self._stop_requested = True
 
+    def _requeue(self, when: float, batch: List[list], i: int) -> None:
+        """Reinstate ``batch[i:]`` as the front of the ``when`` bucket —
+        the resume contract after a stop mid-bucket or an exception
+        escaping a callback.  Events scheduled *at* ``when`` during the
+        bucket's dispatch already re-created the bucket; the unconsumed
+        remainder goes in front of them."""
+        rest = batch[i:]
+        buckets = self._buckets
+        existing = buckets.get(when)
+        if existing is None:
+            buckets[when] = rest
+            _heappush(self._ts_heap, when)
+        else:
+            rest.extend(existing)
+            buckets[when] = rest
+
+    # -- the drain ----------------------------------------------------------
+
     def run_until_idle(self) -> float:
-        """Batch fast path: drain the queue with no per-event bound,
-        predicate, or budget checks; returns the final time.
-
-        Honors :meth:`request_stop` and skips cancelled slots.  With a
-        caller watchdog armed the drain routes through the checked loop
-        instead (``run()``'s fast path also requires no watchdog, so
-        this does not recurse); with only the pulse-only supervisor
-        armed it takes the pulsed fast drain.
-        """
-        if self._watchdog is not None:
-            if self._watchdog is self._pulse_watchdog:
-                return self._drain_pulsed()
-            return self.run(until=None)
-        self._stop_requested = False
-        heap = self._heap
-        tail = self._tail
-        pop = _heappop
-        popleft = tail.popleft
-        free = self._free
-        free_max = _FREE_LIST_MAX
-        processed = 0
-        started = _perf_counter()
-        try:
-            while True:
-                if heap:
-                    if tail and tail[0] < heap[0]:
-                        record = popleft()
-                    else:
-                        record = pop(heap)
-                else:
-                    try:
-                        record = popleft()
-                    except IndexError:
-                        break
-                callback = record[2]
-                if callback is None:
-                    self._cancelled -= 1
-                    if len(free) < free_max:
-                        free.append(record)
-                    continue
-                self._now = record[0]
-                args = record[3]
-                # blank the slot first: cancel() on an executed handle is
-                # then a no-op returning False, and the record drops its
-                # callback/args references immediately.
-                record[2] = None
-                record[3] = ()
-                # plain call beats CALL_FUNCTION_EX on the no-arg path
-                if args:
-                    callback(*args)
-                else:
-                    callback()
-                # recycle after the callback: any events it scheduled
-                # took records from the free list, never this one.
-                if len(free) < free_max:
-                    free.append(record)
-                processed += 1
-                if self._stop_requested:
-                    break
-        finally:
-            self._events_processed += processed
-            self._run_wall_s += _perf_counter() - started
-            self._runs += 1
-        return self._now
-
-    def _drain_pulsed(self) -> float:
-        """Fast drain with only the pulse-only supervisor armed: the
-        same unchecked loop as :meth:`run_until_idle` plus one
-        local-counter compare per event to visit the read-only pulse at
-        its cadence.  Event order and callbacks are untouched — pulsed
-        runs stay bit-identical with bare ones — at a fraction of the
-        checked loop's per-event bookkeeping cost.  ``_events_processed``
-        is flushed before each pulse visit so the hook reads a current
-        count."""
-        self._stop_requested = False
-        heap = self._heap
-        tail = self._tail
-        pop = _heappop
-        popleft = tail.popleft
-        free = self._free
-        free_max = _FREE_LIST_MAX
-        pulse = self._pulse
-        next_pulse = self._pulse_every
-        processed = 0
-        flushed = 0
-        started = _perf_counter()
-        try:
-            while True:
-                if heap:
-                    if tail and tail[0] < heap[0]:
-                        record = popleft()
-                    else:
-                        record = pop(heap)
-                else:
-                    try:
-                        record = popleft()
-                    except IndexError:
-                        break
-                callback = record[2]
-                if callback is None:
-                    self._cancelled -= 1
-                    if len(free) < free_max:
-                        free.append(record)
-                    continue
-                self._now = record[0]
-                args = record[3]
-                record[2] = None
-                record[3] = ()
-                if args:
-                    callback(*args)
-                else:
-                    callback()
-                if len(free) < free_max:
-                    free.append(record)
-                processed += 1
-                if processed >= next_pulse:
-                    next_pulse = processed + self._pulse_every
-                    self._events_processed += processed - flushed
-                    flushed = processed
-                    if pulse is not None:
-                        pulse(self)
-                if self._stop_requested:
-                    break
-        finally:
-            self._events_processed += processed - flushed
-            self._run_wall_s += _perf_counter() - started
-            self._runs += 1
-        return self._now
+        """Drain the queue with no bound or predicate; returns the final
+        time.  The same as ``run()``."""
+        return self.run()
 
     def run(
         self,
@@ -570,90 +458,167 @@ class Engine:
 
         ``until`` bounds simulated time, ``max_events`` bounds work, and
         ``stop_when`` is polled after every event for early termination.
-        With no bounds at all this delegates to :meth:`run_until_idle`.
+        Honors :meth:`request_stop` and skips cancelled slots.
+
+        A run with no bound and no caller watchdog dispatches each
+        timestamp's bucket through the group-dispatch inner loop, with
+        an armed pulse visited between timestamps (``events_processed``
+        flushed first).  Any bound or a caller watchdog selects the
+        checked inner loop, one callback per Python call with every
+        check after every event; a pulse is then visited every
+        ``every`` events, or on a caller watchdog's check cadence.
 
         After an ``until``-bounded return, ``now == until`` and the
         queue is intact; calling ``run()`` again *continues correctly*
         (see the class docstring's resume contract).
         """
-        if until is None and max_events is None and stop_when is None:
-            if self._watchdog is None:
-                return self.run_until_idle()
-            if self._watchdog is self._pulse_watchdog:
-                return self._drain_pulsed()
+        wd = self._watchdog
+        grouped = (
+            until is None
+            and max_events is None
+            and stop_when is None
+            and wd is self._pulse_watchdog
+        )
+        pulse = self._pulse if grouped else None
         self._stop_requested = False
-        heap = self._heap
-        tail = self._tail
-        pop = _heappop
-        popleft = tail.popleft
+        buckets = self._buckets
+        ts_heap = self._ts_heap
+        pop_ts = _heappop
+        free = self._free
+        free_max = _FREE_LIST_MAX
+        get_handler = _BATCH_HANDLERS.get
+        method = _MethodType
+        pulse_every = self._pulse_every
+        next_pulse = pulse_every
+        # group dispatch counts in ``processed`` and flushes it into
+        # ``_events_processed`` at pulse visits and on exit; the checked
+        # loop keeps ``_events_processed`` current after every event.
+        processed = 0
+        flushed = 0
+        base = self._events_processed
         started = _perf_counter()
         try:
-            self._run_bounded(until, max_events, stop_when, heap, tail, pop, popleft)
+            while ts_heap:
+                when = pop_ts(ts_heap)
+                if until is not None and when > until:
+                    _heappush(ts_heap, when)
+                    self._now = until
+                    break
+                batch = buckets.pop(when)
+                self._now = when
+                n = len(batch)
+                i = 0
+                try:
+                    if grouped:
+                        while i < n:
+                            record = batch[i]
+                            cb = record[2]
+                            if cb is None:
+                                self._cancelled -= 1
+                                if len(free) < free_max:
+                                    free.append(record)
+                                i += 1
+                                continue
+                            if cb.__class__ is method:
+                                handler = get_handler(cb.__func__)
+                                if handler is not None:
+                                    # group run: the handler consumes the
+                                    # maximal run of records bound to its
+                                    # function (cancelled slots ride
+                                    # along) in one Python call.
+                                    try:
+                                        i, done = handler(self, batch, i, n)
+                                    except BaseException:
+                                        progress = self._group_progress
+                                        if progress is not None:
+                                            self._group_progress = None
+                                            i, done = progress
+                                            processed += done
+                                        raise
+                                    processed += done
+                                    if self._stop_requested:
+                                        break
+                                    continue
+                            # consume before dispatch: a raising callback
+                            # is spent, so the requeue below reinstates
+                            # only ``batch[i:]``.
+                            record[2] = None
+                            args = record[3]
+                            record[3] = ()
+                            i += 1
+                            if args:
+                                cb(*args)
+                            else:
+                                cb()
+                            if len(free) < free_max:
+                                free.append(record)
+                            processed += 1
+                            if self._stop_requested:
+                                break
+                    else:
+                        while i < n:
+                            record = batch[i]
+                            i += 1
+                            cb = record[2]
+                            if cb is None:
+                                self._cancelled -= 1
+                                if len(free) < free_max:
+                                    free.append(record)
+                                continue
+                            args = record[3]
+                            record[2] = None
+                            record[3] = ()
+                            if args:
+                                cb(*args)
+                            else:
+                                cb()
+                            if len(free) < free_max:
+                                free.append(record)
+                            self._events_processed += 1
+                            if wd is not None:
+                                wd._since_check += 1
+                                if wd._since_check >= wd.check_every:
+                                    wd._since_check = 0
+                                    wd._check(self)
+                            if self._stop_requested:
+                                break
+                            if stop_when is not None and stop_when():
+                                self._stop_requested = True
+                                break
+                            if (
+                                max_events is not None
+                                and self._events_processed - base >= max_events
+                            ):
+                                raise SimulationError(
+                                    f"exceeded max_events={max_events}; likely livelock"
+                                )
+                finally:
+                    # a stop, a watchdog abort or a raising callback: the
+                    # unconsumed remainder goes back on the queue so
+                    # resumed runs see it untouched.
+                    if i < n:
+                        self._requeue(when, batch, i)
+                if self._stop_requested:
+                    break
+                if pulse is not None and processed >= next_pulse:
+                    self._events_processed += processed - flushed
+                    flushed = processed
+                    next_pulse = processed + pulse_every
+                    pulse(self)
         finally:
+            self._events_processed += processed - flushed
             self._run_wall_s += _perf_counter() - started
             self._runs += 1
         return self._now
-
-    def _run_bounded(self, until, max_events, stop_when, heap, tail, pop, popleft):
-        processed = 0
-        wd = self._watchdog
-        free = self._free
-        while True:
-            if heap:
-                if tail and tail[0] < heap[0]:
-                    head, from_tail = tail[0], True
-                else:
-                    head, from_tail = heap[0], False
-            elif tail:
-                head, from_tail = tail[0], True
-            else:
-                break
-            if head[2] is None:
-                popleft() if from_tail else pop(heap)
-                self._cancelled -= 1
-                if len(free) < _FREE_LIST_MAX:
-                    free.append(head)
-                continue
-            when = head[0]
-            if until is not None and when > until:
-                self._now = until
-                break
-            popleft() if from_tail else pop(heap)
-            self._now = when
-            callback = head[2]
-            args = head[3]
-            head[2] = None
-            head[3] = ()
-            if args:
-                callback(*args)
-            else:
-                callback()
-            if len(free) < _FREE_LIST_MAX:
-                free.append(head)
-            self._events_processed += 1
-            processed += 1
-            if wd is not None:
-                wd._since_check += 1
-                if wd._since_check >= wd.check_every:
-                    wd._since_check = 0
-                    wd._check(self)
-            if self._stop_requested:
-                break
-            if stop_when is not None and stop_when():
-                break
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; likely livelock"
-                )
 
     # -- supervision -------------------------------------------------------
 
     def attach_watchdog(self, watchdog: Watchdog) -> Watchdog:
         """Arm ``watchdog`` over subsequent runs (budgets and progress
-        count from this moment).  Runs route through the checked loop
-        until :meth:`detach_watchdog`.  An armed pulse survives: it
-        rides the new watchdog's check cadence (via ``on_check``) while
-        the watchdog is armed and re-arms on its own when it detaches.
+        count from this moment).  Runs take the checked inner loop until
+        :meth:`detach_watchdog`.  An armed pulse survives: it rides the
+        new watchdog's check cadence (via ``on_check``) while the
+        watchdog is armed and re-arms on its own when it detaches.
         """
         watchdog._arm(self)
         if self._pulse is not None and watchdog.on_check is None:
@@ -663,9 +628,9 @@ class Engine:
         return watchdog
 
     def detach_watchdog(self) -> Optional[Watchdog]:
-        """Disarm the current watchdog (restoring the unchecked fast
-        paths, unless a pulse stays armed) and return it, or None when
-        none was armed (a pulse-only supervisor does not count)."""
+        """Disarm the current watchdog (restoring group dispatch for
+        unbounded runs) and return it, or None when none was armed (a
+        pulse-only supervisor does not count)."""
         watchdog = self._watchdog
         self._watchdog = None
         if watchdog is not None and watchdog is self._pulse_watchdog:
@@ -683,14 +648,13 @@ class Engine:
         every: int = PULSE_CHECK_EVERY,
     ) -> Callable[["Engine"], None]:
         """Arm a periodic read-only hook: ``pulse(engine)`` roughly every
-        ``every`` processed events, piggybacking on the watchdog check
-        cadence (worker heartbeats use this).  With no caller watchdog
-        armed, a budget-free pulse-only supervisor routes unbounded
-        drains through the pulsed fast path (:meth:`_drain_pulsed`) and
-        bounded runs through the checked loop; when a caller arms a real
-        watchdog the pulse rides its checks instead.  The hook must only
-        read engine state, so pulsed runs stay bit-identical with
-        unpulsed ones."""
+        ``every`` processed events (worker heartbeats and metric
+        timelines use this).  Unbounded runs visit it between
+        timestamps.  Bounded runs visit it every ``every`` events
+        through a budget-free pulse-only supervisor; when a caller arms
+        a real watchdog the pulse rides its checks instead.  The hook
+        must only read engine state, so pulsed runs stay bit-identical
+        with unpulsed ones."""
         self._pulse = pulse
         self._pulse_every = every
         if self._watchdog is not None:
@@ -701,8 +665,7 @@ class Engine:
         return pulse
 
     def detach_pulse(self) -> Optional[Callable[["Engine"], None]]:
-        """Disarm the pulse hook (restoring the unchecked fast paths
-        when no caller watchdog is armed) and return it, or None."""
+        """Disarm the pulse hook and return it, or None."""
         pulse = self._pulse
         self._pulse = None
         if self._watchdog is not None:
@@ -726,36 +689,29 @@ class Engine:
         self._watchdog = watchdog
         self._pulse_watchdog = watchdog
 
+    # -- introspection -----------------------------------------------------
+
     def dump_state(self, limit: int = 10) -> Dict[str, object]:
         """Diagnostic snapshot for abort reports: the self-metrics plus
         the next ``limit`` live queued events with callback names —
         enough to see *what* a stuck simulation keeps rescheduling."""
-        live = [r for r in self._pending_records() if r[2] is not None]
-        live.sort(key=lambda r: (r[0], r[1]))
-        upcoming = [
+        buckets = self._buckets
+        live = (
             {
-                "when": record[0],
-                "seq": record[1],
-                "callback": getattr(
-                    record[2], "__qualname__", repr(record[2])
-                ),
+                "when": when,
+                "callback": getattr(record[2], "__qualname__", repr(record[2])),
             }
-            for record in live[:limit]
-        ]
+            for when in sorted(buckets)
+            for record in buckets[when]
+            if record[2] is not None
+        )
         state = self.self_metrics()
-        state["upcoming"] = upcoming
+        state["upcoming"] = list(itertools.islice(live, limit))
         return state
-
-    def _pending_records(self):
-        """Every queued record (live and cancelled), storage-agnostic —
-        the seam :meth:`dump_state` reads so engine subclasses with a
-        different pending-set layout only override this."""
-        yield from self._tail
-        yield from self._heap
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return len(self._heap) + len(self._tail) - self._cancelled
+        return sum(map(len, self._buckets.values())) - self._cancelled
 
     @property
     def run_wall_s(self) -> float:
@@ -774,346 +730,23 @@ class Engine:
             "runs": self._runs,
             "sim_cycles": self._now,
             "pending": self.pending(),
-            "queue_depth_tail": len(self._tail),
-            "queue_depth_heap": len(self._heap),
+            "queue_depth_timestamps": len(self._ts_heap),
             "cancelled_pending": self._cancelled,
         }
 
     def reset(self) -> None:
         """Return to time zero with an empty queue, in place — holders
         of an engine reference (components) stay valid."""
-        self._heap.clear()
-        self._tail.clear()
+        self._buckets.clear()
+        self._ts_heap.clear()
         self._free.clear()
-        self._tail_last = float("-inf")
-        self._next_seq = itertools.count().__next__
         self._now = 0.0
         self._events_processed = 0
         self._cancelled = 0
         self._stop_requested = False
+        self._group_progress = None
         self._run_wall_s = 0.0
         self._runs = 0
         self._watchdog = None
         self._pulse = None
         self._pulse_watchdog = None
-
-
-class BatchedEngine(Engine):
-    """The cycle-synchronous batched drain (see the module docstring).
-
-    Same public surface and bit-identical behaviour as :class:`Engine`,
-    with a different pending-set layout: a **bucket queue** — a dict
-    mapping each pending timestamp to its (seq-ordered) list of event
-    records, plus a heap of the unique pending timestamps.  Scheduling
-    costs one dict probe and a list append; the heap is touched once
-    per *distinct timestamp*, not once per event.  Bounded and
-    watchdog-supervised runs dispatch scalar (one callback per Python
-    call, per-event checks) over the same buckets, so supervision
-    semantics match the reference engine exactly.
-
-    >>> eng = BatchedEngine()
-    >>> hits = []
-    >>> _ = eng.schedule(5, lambda: hits.append(eng.now))
-    >>> _ = eng.run()
-    >>> hits
-    [5]
-    """
-
-    __slots__ = ("_buckets", "_ts_heap", "_group_progress")
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: pending timestamp -> list of event records in seq order.
-        #: Invariant: ``when`` is a key of ``_buckets`` iff ``when`` is
-        #: in ``_ts_heap`` (exactly once) — maintained by scheduling
-        #: (push on bucket creation only) and the drains (pop both
-        #: together).
-        self._buckets: Dict[float, List[list]] = {}
-        self._ts_heap: List[float] = []
-        #: ``(next_i, executed)`` posted by a group handler that is
-        #: propagating an exception, so the drain requeues exactly the
-        #: unconsumed remainder (see :func:`register_batch_handler`).
-        self._group_progress: Optional[Tuple[int, int]] = None
-
-    # -- scheduling into the bucket queue ----------------------------------
-
-    def schedule(self, when: float, callback: Callable, *args) -> EventHandle:
-        """See :meth:`Engine.schedule`; same contract, bucket storage.
-
-        Bucket append order *is* scheduling order, so records need no
-        sequence stamp — the seq slot stays 0 (every record in a
-        batched engine carries 0, keeping :meth:`dump_state`'s stable
-        sort equal to dispatch order)."""
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {when} before current time {self._now}"
-            )
-        free = self._free
-        if free:
-            record = free.pop()
-            record[0] = when
-            record[2] = callback
-            record[3] = args
-        else:
-            record = [when, 0, callback, args]
-        buckets = self._buckets
-        bucket = buckets.get(when)
-        if bucket is None:
-            buckets[when] = [record]
-            _heappush(self._ts_heap, when)
-        else:
-            bucket.append(record)
-        return record
-
-    def schedule_after(self, delay: float, callback: Callable, *args) -> EventHandle:
-        """See :meth:`Engine.schedule_after`; same contract, bucket
-        storage (see :meth:`schedule` for the seq-slot convention)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        when = self._now + delay
-        free = self._free
-        if free:
-            record = free.pop()
-            record[0] = when
-            record[2] = callback
-            record[3] = args
-        else:
-            record = [when, 0, callback, args]
-        buckets = self._buckets
-        bucket = buckets.get(when)
-        if bucket is None:
-            buckets[when] = [record]
-            _heappush(self._ts_heap, when)
-        else:
-            bucket.append(record)
-        return record
-
-    def _requeue(self, when: float, batch: List[list], i: int) -> None:
-        """Reinstate ``batch[i:]`` as the front of the ``when`` bucket —
-        the resume contract after ``request_stop`` mid-batch or an
-        exception escaping a callback.  Events scheduled *at* ``when``
-        during the batch (strictly higher seq) already re-created the
-        bucket; the unconsumed remainder goes in front of them."""
-        rest = batch[i:]
-        buckets = self._buckets
-        existing = buckets.get(when)
-        if existing is None:
-            buckets[when] = rest
-            _heappush(self._ts_heap, when)
-        else:
-            rest.extend(existing)
-            buckets[when] = rest
-
-    # -- introspection over buckets ----------------------------------------
-
-    def _pending_records(self):
-        for bucket in self._buckets.values():
-            yield from bucket
-
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return sum(map(len, self._buckets.values())) - self._cancelled
-
-    def reset(self) -> None:
-        super().reset()
-        self._buckets.clear()
-        self._ts_heap.clear()
-
-    # -- run loops ----------------------------------------------------------
-
-    def run_until_idle(self) -> float:
-        """Batched fast path: drain per-timestamp buckets.  Routing
-        mirrors the scalar engine: a caller watchdog forces the checked
-        scalar-dispatch loop, the pulse-only supervisor takes the
-        batched drain with pulse visits at batch boundaries."""
-        wd = self._watchdog
-        if wd is not None:
-            if wd is self._pulse_watchdog:
-                return self._drain_batched(self._pulse)
-            return self.run(until=None)
-        return self._drain_batched(None)
-
-    def _drain_pulsed(self) -> float:
-        return self._drain_batched(self._pulse)
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> float:
-        """See :meth:`Engine.run`; bounded/supervised runs take the
-        checked scalar-dispatch loop over the bucket queue."""
-        if until is None and max_events is None and stop_when is None:
-            if self._watchdog is None:
-                return self._drain_batched(None)
-            if self._watchdog is self._pulse_watchdog:
-                return self._drain_batched(self._pulse)
-        self._stop_requested = False
-        started = _perf_counter()
-        try:
-            self._run_bounded_buckets(until, max_events, stop_when)
-        finally:
-            self._run_wall_s += _perf_counter() - started
-            self._runs += 1
-        return self._now
-
-    def _run_bounded_buckets(self, until, max_events, stop_when) -> None:
-        """The checked loop: scalar dispatch (one callback per Python
-        call — no group handlers), per-event watchdog/bound/predicate
-        checks, identical semantics to :meth:`Engine._run_bounded`."""
-        processed = 0
-        wd = self._watchdog
-        free = self._free
-        buckets = self._buckets
-        ts_heap = self._ts_heap
-        while ts_heap:
-            when = ts_heap[0]
-            if until is not None and when > until:
-                self._now = until
-                return
-            _heappop(ts_heap)
-            batch = buckets.pop(when)
-            self._now = when
-            n = len(batch)
-            i = 0
-            try:
-                while i < n:
-                    record = batch[i]
-                    i += 1
-                    callback = record[2]
-                    if callback is None:
-                        self._cancelled -= 1
-                        if len(free) < _FREE_LIST_MAX:
-                            free.append(record)
-                        continue
-                    args = record[3]
-                    record[2] = None
-                    record[3] = ()
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
-                    if len(free) < _FREE_LIST_MAX:
-                        free.append(record)
-                    self._events_processed += 1
-                    processed += 1
-                    if wd is not None:
-                        wd._since_check += 1
-                        if wd._since_check >= wd.check_every:
-                            wd._since_check = 0
-                            wd._check(self)
-                    if self._stop_requested:
-                        return
-                    if stop_when is not None and stop_when():
-                        return
-                    if max_events is not None and processed >= max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; likely livelock"
-                        )
-            finally:
-                # early return, watchdog abort, or a raising callback:
-                # the unconsumed remainder goes back on the queue so
-                # resumed runs see it untouched.
-                if i < n:
-                    self._requeue(when, batch, i)
-
-    def _drain_batched(self, pulse: Optional[Callable]) -> float:
-        """Pop one whole timestamp bucket per transaction, then
-        dispatch it in seq order with group-handler coalescing.
-
-        Semantics identical to :meth:`Engine.run_until_idle`:
-
-        * cancellation — a slot blanked by an *earlier* event in the
-          same batch is skipped when its turn comes, exactly as when it
-          surfaces at the scalar queue head;
-        * ``request_stop`` mid-batch — dispatch stops after the current
-          event and the unconsumed remainder of the batch is
-          reinstated, so a subsequent run resumes with no events lost,
-          duplicated, or reordered;
-        * monitoring — ``pulse`` (heartbeats, metric timelines) is
-          visited only at batch boundaries, with ``events_processed``
-          flushed first, so probes never observe a half-dispatched
-          cycle.
-        """
-        self._stop_requested = False
-        buckets = self._buckets
-        ts_heap = self._ts_heap
-        pop_ts = _heappop
-        free = self._free
-        free_max = _FREE_LIST_MAX
-        get_handler = _BATCH_HANDLERS.get
-        method = _MethodType
-        pulse_every = self._pulse_every
-        next_pulse = pulse_every
-        processed = 0
-        flushed = 0
-        started = _perf_counter()
-        try:
-            while ts_heap:
-                when = pop_ts(ts_heap)
-                batch = buckets.pop(when)
-                self._now = when
-                n = len(batch)
-                i = 0
-                try:
-                    while i < n:
-                        record = batch[i]
-                        cb = record[2]
-                        if cb is None:
-                            self._cancelled -= 1
-                            if len(free) < free_max:
-                                free.append(record)
-                            i += 1
-                            continue
-                        if cb.__class__ is method:
-                            handler = get_handler(cb.__func__)
-                            if handler is not None:
-                                # group run: the handler consumes the
-                                # maximal run of records bound to its
-                                # function (cancelled slots ride along)
-                                # in one Python call.
-                                try:
-                                    i, done = handler(self, batch, i, n)
-                                except BaseException:
-                                    progress = self._group_progress
-                                    if progress is not None:
-                                        self._group_progress = None
-                                        i, done = progress
-                                        processed += done
-                                    raise
-                                processed += done
-                                if self._stop_requested:
-                                    break
-                                continue
-                        # consume before dispatch: a raising callback is
-                        # spent (exactly as in the scalar drain), so the
-                        # requeue below reinstates only ``batch[i:]``.
-                        record[2] = None
-                        args = record[3]
-                        record[3] = ()
-                        i += 1
-                        if args:
-                            cb(*args)
-                        else:
-                            cb()
-                        if len(free) < free_max:
-                            free.append(record)
-                        processed += 1
-                        if self._stop_requested:
-                            break
-                finally:
-                    if i < n:
-                        self._requeue(when, batch, i)
-                if self._stop_requested:
-                    break
-                if pulse is not None and processed >= next_pulse:
-                    self._events_processed += processed - flushed
-                    flushed = processed
-                    next_pulse = processed + pulse_every
-                    pulse(self)
-        finally:
-            self._events_processed += processed - flushed
-            self._run_wall_s += _perf_counter() - started
-            self._runs += 1
-        return self._now

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.engine import Engine
 from repro.monitor.signals import NULL_SIGNAL
 from repro.network.packet import Packet
 from repro.network.resource import Hop, Resource, Transit
 from repro.network.routing import delta_path, stage_radices
-from repro.perf.batch import np as _np
 
 
 class OmegaNetwork:
@@ -117,27 +118,14 @@ class OmegaNetwork:
                 link.reset()
 
     def stats(self) -> dict:
-        if _np is not None:
-            arrays = self.stage_state_arrays()
-            last = self.n_stages - 1
-            return {
-                "packets_delivered": int(arrays["packets"][last].sum()),
-                "words_delivered": int(arrays["words"][last].sum()),
-                "rejected_offers": int(arrays["rejected_offers"].sum()),
-                "injection_rejections": int(
-                    self.injection_state_arrays()["rejected_offers"].sum()
-                ),
-            }
+        arrays = self.stage_state_arrays()
+        last = self.n_stages - 1
         return {
-            "packets_delivered": sum(r.stats.packets for r in self.stages[-1]),
-            "words_delivered": self.total_words_delivered(),
-            "rejected_offers": sum(
-                r.stats.rejected_offers
-                for stage in self.stages
-                for r in stage
-            ),
-            "injection_rejections": sum(
-                p.stats.rejected_offers for p in self.injection_ports
+            "packets_delivered": int(arrays["packets"][last].sum()),
+            "words_delivered": int(arrays["words"][last].sum()),
+            "rejected_offers": int(arrays["rejected_offers"].sum()),
+            "injection_rejections": int(
+                self.injection_state_arrays()["rejected_offers"].sum()
             ),
         }
 
@@ -150,58 +138,53 @@ class OmegaNetwork:
         This is the numpy seam for width-proportional work — whole-fabric
         aggregation, occupancy heat maps, analysis notebooks — where one
         gather over the port population replaces a nested Python loop.
-        The per-*batch* service loops stay scalar by design: a
-        same-timestamp batch carries far fewer completions than the
-        ufunc break-even width (see :mod:`repro.perf.batch`).  Requires
-        numpy (raises ``RuntimeError`` without it; callers holding the
-        scalar fallback should branch on ``repro.perf.batch.HAVE_NUMPY``).
+        The per-timestamp service loops stay scalar by design: a
+        same-timestamp bucket carries ~2-20 completions, while a numpy
+        ufunc call breaks even against scalar Python arithmetic only
+        around ~50-100 elements.
         """
-        if _np is None:
-            raise RuntimeError("stage_state_arrays requires numpy")
         flat = [link for stage in self.stages for link in stage]
         shape = (self.n_stages, self.n_ports)
         n = len(flat)
 
         def _gather(values, dtype):
-            return _np.fromiter(values, dtype=dtype, count=n).reshape(shape)
+            return np.fromiter(values, dtype=dtype, count=n).reshape(shape)
 
         return {
-            "packets": _gather((r.stats.packets for r in flat), _np.int64),
-            "words": _gather((r.stats.words for r in flat), _np.int64),
+            "packets": _gather((r.stats.packets for r in flat), np.int64),
+            "words": _gather((r.stats.words for r in flat), np.int64),
             "busy_cycles": _gather(
-                (r.stats.busy_cycles for r in flat), _np.float64
+                (r.stats.busy_cycles for r in flat), np.float64
             ),
             "rejected_offers": _gather(
-                (r.stats.rejected_offers for r in flat), _np.int64
+                (r.stats.rejected_offers for r in flat), np.int64
             ),
-            "queued_words": _gather((r.queued_words for r in flat), _np.int64),
-            "busy": _gather((r._serving for r in flat), _np.bool_),
+            "queued_words": _gather((r.queued_words for r in flat), np.int64),
+            "busy": _gather((r._serving for r in flat), np.bool_),
         }
 
     def injection_state_arrays(self) -> dict:
         """Per-injection-port arrays (length ``n_ports``); see
         :meth:`stage_state_arrays`."""
-        if _np is None:
-            raise RuntimeError("injection_state_arrays requires numpy")
         ports = self.injection_ports
         n = len(ports)
         return {
-            "packets": _np.fromiter(
-                (p.stats.packets for p in ports), dtype=_np.int64, count=n
+            "packets": np.fromiter(
+                (p.stats.packets for p in ports), dtype=np.int64, count=n
             ),
-            "words": _np.fromiter(
-                (p.stats.words for p in ports), dtype=_np.int64, count=n
+            "words": np.fromiter(
+                (p.stats.words for p in ports), dtype=np.int64, count=n
             ),
-            "rejected_offers": _np.fromiter(
+            "rejected_offers": np.fromiter(
                 (p.stats.rejected_offers for p in ports),
-                dtype=_np.int64,
+                dtype=np.int64,
                 count=n,
             ),
-            "queued_words": _np.fromiter(
-                (p.queued_words for p in ports), dtype=_np.int64, count=n
+            "queued_words": np.fromiter(
+                (p.queued_words for p in ports), dtype=np.int64, count=n
             ),
-            "busy": _np.fromiter(
-                (p._serving for p in ports), dtype=_np.bool_, count=n
+            "busy": np.fromiter(
+                (p._serving for p in ports), dtype=np.bool_, count=n
             ),
         }
 

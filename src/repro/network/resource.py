@@ -373,26 +373,35 @@ class Resource:
 
 
 # ---------------------------------------------------------------------------
-# batched group dispatch: the vectorized link/memory service pass
+# group dispatch: the inlined link/memory service pass
 #
 # ``Resource._finish`` is ~80% of all events in a kernel run, and its
-# scalar dispatch fans out across six to ten Python frames per event
+# per-event dispatch fans out across six to ten Python frames
 # (_finish -> _try_handoff -> _pop_head -> offer -> _maybe_start ->
-# _start_service -> schedule_after -> _advance -> ...).  The batched
-# engine hands every same-cycle run of finishes to `_finish_batch`,
-# which services them in ONE Python call with the whole chain inlined
-# for the dominant case: a plain unmonitored FIFO link (no service /
-# completion hooks, no armed fault site, no recovery window, no
-# subscribed signal channels) handing off to another plain link.
+# _start_service -> schedule_after -> ...).  The engine's
+# group-dispatch loop hands every same-cycle run of finishes to
+# `_finish_batch`, which services them in ONE Python call with the
+# whole chain inlined for the dominant case: a plain unmonitored FIFO
+# link (no service / completion hooks, no armed fault site, no recovery
+# window, no subscribed signal channels) handing off to another plain
+# link.
 #
 # Anything off that path — memory modules (completion hook + recovery),
 # monitored links, stages carrying faults or escape routing, blocked
-# heads — falls back to the scalar methods *per record*, so the two
+# heads — falls back to the `Resource` methods *per record*, so the two
 # paths are one semantics with two dispatch costs.  Every inlined
-# mutation below mirrors the scalar method it replaces line for line
-# (the scalar code is the reference; change both together), which is
-# what the batched-identity harness and the adversarial ordering tests
-# enforce.
+# mutation below mirrors the method it replaces line for line (change
+# both together); bounded and watchdog-supervised runs call the methods
+# directly, and the committed goldens (``benchmarks/golden.py``) and
+# ``tests/test_batched.py`` pin the results.
+#
+# The handler schedules straight into the engine's bucket queue
+# (``_buckets`` / ``_ts_heap`` / ``_free``); ``repro.core.engine``
+# documents that contract.  It stays because it pays: unregistering it
+# lowered the ``perfbench`` ``kernels`` workload's refs/s in every run of
+# two interleaved three-pair measurements (seed 3, one Intel Xeon host):
+# 32.1k/33.2k/37.1k -> 29.3k/29.5k/30.7k (about -11% at the median) and
+# 32.4k/31.7k/32.1k -> 29.8k/30.9k/30.1k (about -6%).
 
 def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
     """Group handler for a same-timestamp run of ``Resource._finish``
@@ -415,7 +424,7 @@ def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
             cb = record[2]
             if cb is None:
                 # cancelled (possibly by an earlier event in this batch):
-                # reclaim the slot exactly as the scalar drain would.
+                # reclaim the slot exactly as the drain would.
                 eng._cancelled -= 1
                 if len(free) < _FREE_LIST_MAX:
                     free.append(record)
@@ -443,7 +452,7 @@ def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
                 or res.dequeue_signal.callbacks
                 or res.depart_signal.callbacks
             ):
-                # scalar fallback: hooks, monitors, recovery, faults.
+                # per-record fallback: hooks, monitors, recovery, faults.
                 if len(free) < _FREE_LIST_MAX:
                     free.append(spare)
                 res._finish(transit)

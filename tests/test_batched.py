@@ -1,62 +1,22 @@
-"""Batched-engine characterization: adversarial same-timestamp mixes.
+"""Same-timestamp bucket semantics: adversarial intra-timestamp mixes.
 
-The :class:`~repro.core.engine.BatchedEngine` promises bit-identical
-behaviour to the scalar :class:`~repro.core.engine.Engine` — same
-dispatch order, same final state, same counters — while dispatching
-whole same-timestamp buckets per transaction.  These tests drive both
-engines through the adversarial intra-timestamp cases the bucket queue
-must get right: cancels landing inside an already-popped batch,
-zero-delay re-schedules extending the current timestamp,
-``request_stop`` mid-batch with a resumed run, pulse visits at batch
-boundaries, bounded-run resume over buckets, and exceptions escaping
-mid-batch.  Each scenario runs on both engine classes and asserts the
-*traces* are equal — the scalar engine is the reference semantics.
+The :class:`~repro.core.engine.Engine` dispatches whole same-timestamp
+buckets per transaction.  These tests drive it through the adversarial
+intra-timestamp cases the bucket queue must get right: cancels landing
+inside an already-popped bucket, zero-delay re-schedules extending the
+current timestamp, ``request_stop`` mid-bucket with a resumed run, pulse
+visits, bounded-run resume over buckets, and exceptions escaping
+mid-bucket.
+
+The project once kept a second, scalar heap+tail engine as the reference
+semantics.  Scenarios that were only checked as "equal to the scalar
+engine" now assert the literal traces, counts and cycles that engine
+produced, recorded before it was deleted.
 """
 
 import pytest
 
-from repro.core.engine import (
-    BatchedEngine,
-    Engine,
-    SimulationError,
-    batched_enabled,
-    make_engine,
-)
-
-ENGINES = [Engine, BatchedEngine]
-
-
-def both(scenario):
-    """Run ``scenario(engine) -> trace`` on both engines; assert equal
-    traces and return the shared trace for scenario-specific asserts."""
-    scalar = scenario(Engine())
-    batched = scenario(BatchedEngine())
-    assert batched == scalar
-    return scalar
-
-
-# ---------------------------------------------------------------------------
-# feature gate
-
-
-def test_gate_selects_engine_class(monkeypatch):
-    monkeypatch.delenv("CEDAR_BATCHED", raising=False)
-    assert batched_enabled()
-    assert type(make_engine()) is BatchedEngine
-    monkeypatch.setenv("CEDAR_BATCHED", "0")
-    assert not batched_enabled()
-    assert type(make_engine()) is Engine
-    monkeypatch.setenv("CEDAR_BATCHED", "off")
-    assert type(make_engine()) is Engine
-    monkeypatch.setenv("CEDAR_BATCHED", "1")
-    assert type(make_engine()) is BatchedEngine
-
-
-def test_gate_module_reexports():
-    from repro.perf import batch
-
-    assert batch.make_engine is make_engine
-    assert batch.BatchedEngine is BatchedEngine
+from repro.core.engine import Engine, SimulationError, Watchdog
 
 
 # ---------------------------------------------------------------------------
@@ -71,14 +31,13 @@ def test_same_timestamp_fifo_order_matches_scalar():
         eng.run_until_idle()
         return seen
 
-    assert both(scenario) == list(range(8))
+    assert scenario(Engine()) == list(range(8))
 
 
 def test_cancel_within_active_batch():
     # an early event in the bucket cancels a later one in the *same*
-    # bucket — the batched drain has already popped the whole batch, so
-    # the blanked slot must be skipped mid-dispatch, exactly as the
-    # scalar drain skips it at the queue head.
+    # bucket — the drain has already popped the whole bucket, so the
+    # blanked slot must be skipped mid-dispatch.
     def scenario(eng):
         seen = []
         handles = {}
@@ -93,7 +52,7 @@ def test_cancel_within_active_batch():
         eng.run_until_idle()
         return (seen, eng.pending(), eng.events_processed)
 
-    seen, pending, processed = both(scenario)
+    seen, pending, processed = scenario(Engine())
     assert seen == ["killer", "survivor"]
     assert pending == 0
     assert processed == 2
@@ -102,8 +61,8 @@ def test_cancel_within_active_batch():
 def test_zero_delay_reschedule_extends_current_timestamp():
     # schedule_after(0) from inside a batch lands at the *current*
     # timestamp, whose bucket is already popped; the new event must run
-    # in this timestamp, after every already-pending record — the
-    # scalar engine's seq order.
+    # in this timestamp, after every already-pending record
+    # (scheduling order).
     def scenario(eng):
         seen = []
 
@@ -117,7 +76,7 @@ def test_zero_delay_reschedule_extends_current_timestamp():
         eng.run_until_idle()
         return seen
 
-    assert both(scenario) == [
+    assert scenario(Engine()) == [
         ("first", 1.0), ("second", 1.0), ("extra", 1.0), ("later", 2.0),
     ]
 
@@ -136,7 +95,7 @@ def test_zero_delay_reschedule_chain_drains_before_advancing():
         eng.run_until_idle()
         return seen
 
-    assert both(scenario) == [
+    assert scenario(Engine()) == [
         (1.0, 3), (1.0, 2), (1.0, 1), (1.0, 0), (1.5, "tick"),
     ]
 
@@ -166,10 +125,16 @@ def test_mixed_cancel_reschedule_storm_is_identical():
         for tag in range(12):
             handles.append(eng.schedule(float(tag % 3), act, tag, 0))
         eng.run_until_idle()
-        return seen
+        return seen, eng.events_processed, eng.now, eng.pending()
 
-    trace = both(scenario)
-    assert len(trace) > 12  # the storm actually rescheduled work
+    # the scalar reference engine's dispatch trace for this storm.
+    trace, processed, now, pending = scenario(Engine())
+    assert trace == [
+        (0.0, 0), (0.0, 3), (0.0, 6), (0.0, 9), (0.0, 100), (0.0, 206),
+        (1.0, 1), (1.0, 4), (1.0, 7), (1.0, 10), (1.0, 104),
+        (2.0, 2), (2.0, 5), (2.0, 210), (4.0, 202),
+    ]
+    assert (processed, now, pending) == (15, 4.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +158,7 @@ def test_request_stop_mid_batch_preserves_remainder():
         eng.run_until_idle()  # resume: no events lost or duplicated
         return (stopped, seen, eng.pending())
 
-    stopped, seen, pending = both(scenario)
+    stopped, seen, pending = scenario(Engine())
     assert stopped == (["a", "stopper"], 2, 1.0)
     assert seen == ["a", "stopper", "b", "c"]
     assert pending == 0
@@ -216,7 +181,7 @@ def test_request_stop_then_new_same_time_events_keep_order():
         eng.run_until_idle()
         return seen
 
-    assert both(scenario) == ["stopper", "pending-tail", "late-add"]
+    assert scenario(Engine()) == ["stopper", "pending-tail", "late-add"]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +198,7 @@ def test_until_bound_stops_between_buckets():
         eng.run_until_idle()
         return (mid, seen, eng.now)
 
-    mid, seen, now = both(scenario)
+    mid, seen, now = scenario(Engine())
     assert mid == ([1.0, 2.0, 2.0], 2.0, 1)
     assert seen == [1.0, 2.0, 2.0, 3.0]
     assert now == 3.0
@@ -249,7 +214,7 @@ def test_max_events_livelock_guard_matches():
             eng.run(max_events=100)
         return eng.events_processed
 
-    assert both(scenario) == 100
+    assert scenario(Engine()) == 100
 
 
 def test_stop_when_predicate_matches():
@@ -260,11 +225,11 @@ def test_stop_when_predicate_matches():
         eng.run(stop_when=lambda: len(seen) >= 4)
         return (list(seen), eng.pending())
 
-    assert both(scenario) == ([0, 1, 2, 3], 6)
+    assert scenario(Engine()) == ([0, 1, 2, 3], 6)
 
 
 # ---------------------------------------------------------------------------
-# pulse visits at batch boundaries
+# pulse visits
 
 
 def test_pulse_sees_flushed_counters_at_batch_boundaries():
@@ -280,11 +245,11 @@ def test_pulse_sees_flushed_counters_at_batch_boundaries():
         eng.detach_pulse()
         return visits
 
-    visits = both(scenario)
+    visits = scenario(Engine())
     assert visits  # the pulse actually fired
     for now, processed in visits:
         # counters are flushed before every visit, and visits happen
-        # only between timestamps: a batched pulse never observes a
+        # only between timestamps: an unbounded run's pulse never observes a
         # half-dispatched cycle, so the count is a multiple of the
         # 4-events-per-timestamp batch size.
         assert processed % 4 == 0 and processed > 0
@@ -307,16 +272,72 @@ def test_unpulsed_run_is_identical_to_pulsed():
         eng.detach_pulse()
         return seen
 
-    assert both(scenario) == pulsed(BatchedEngine()) == pulsed(Engine())
+    assert scenario(Engine()) == pulsed(Engine()) == list(range(1, 20))
+
+
+def _pulse_visits(run):
+    """``(now, events_processed)`` at every visit of an every-8 pulse
+    over 40 timestamps of 3 events each, driven by ``run(engine)``."""
+    eng = Engine()
+    for when in range(1, 41):
+        for _ in range(3):
+            eng.schedule(float(when), lambda: None)
+    visits = []
+    eng.attach_pulse(lambda e: visits.append((e.now, e.events_processed)), every=8)
+    run(eng)
+    return visits, eng.now, eng.events_processed
+
+
+# Report timelines sample wherever the pulse fires, so the visit points
+# are pinned exactly (recorded from the engine before the scalar
+# reference engine was deleted).  Unbounded runs visit between
+# timestamps; bounded runs visit every ``every`` events, mid-bucket if
+# need be; a caller watchdog carries the pulse on its own cadence.
+_EVERY_8 = [(3.0, 8), (6.0, 16), (8.0, 24), (11.0, 32), (14.0, 40),
+            (16.0, 48), (19.0, 56), (22.0, 64), (24.0, 72), (27.0, 80),
+            (30.0, 88), (32.0, 96), (35.0, 104), (38.0, 112), (40.0, 120)]
+
+
+def test_pulse_visits_unbounded_drain():
+    assert _pulse_visits(lambda eng: eng.run()) == (
+        [(float(3 * k), 9 * k) for k in range(1, 14)], 40.0, 120,
+    )
+
+
+def test_pulse_visits_ride_caller_watchdog():
+    def run(eng):
+        eng.attach_watchdog(Watchdog(check_every=5))
+        eng.run()
+
+    assert _pulse_visits(run) == (
+        [(2.0, 5), (4.0, 10), (5.0, 15), (7.0, 20), (9.0, 25), (10.0, 30),
+         (12.0, 35), (14.0, 40), (15.0, 45), (17.0, 50), (19.0, 55),
+         (20.0, 60), (22.0, 65), (24.0, 70), (25.0, 75), (27.0, 80),
+         (29.0, 85), (30.0, 90), (32.0, 95), (34.0, 100), (35.0, 105),
+         (37.0, 110), (39.0, 115), (40.0, 120)],
+        40.0,
+        120,
+    )
+
+
+def test_pulse_visits_max_events_run():
+    assert _pulse_visits(lambda eng: eng.run(max_events=1000)) == (
+        _EVERY_8, 40.0, 120,
+    )
+
+
+def test_pulse_visits_until_run():
+    assert _pulse_visits(lambda eng: eng.run(until=20.5)) == (
+        _EVERY_8[:7], 20.5, 60,
+    )
 
 
 # ---------------------------------------------------------------------------
 # exceptions: the queue survives a raising callback
 
 
-@pytest.mark.parametrize("engine_cls", ENGINES)
-def test_raising_callback_consumes_itself_and_preserves_rest(engine_cls):
-    eng = engine_cls()
+def test_raising_callback_consumes_itself_and_preserves_rest():
+    eng = Engine()
     seen = []
 
     def boom():
@@ -359,14 +380,12 @@ def test_dump_state_matches_scalar_order():
         handle = eng.schedule(3.0, lambda: None)
         eng.cancel(handle)
         state = eng.dump_state()
-        # seq values differ by design (batched records carry seq 0);
-        # the (when, callback) order is the contract.
         return [
             (e["when"], e["callback"].rsplit(".", 1)[-1])
             for e in state["upcoming"]
         ]
 
-    assert both(scenario) == [
+    assert scenario(Engine()) == [
         (1.0, "early_a"), (1.0, "early_b"), (5.0, "late"),
     ]
 
@@ -379,34 +398,42 @@ def test_pending_and_reset_parity():
         eng.reset()
         return counts + (eng.pending(), eng.now, eng.events_processed)
 
-    assert both(scenario) == (8, 0, 0.0, 0)
+    assert scenario(Engine()) == (8, 0, 0.0, 0)
 
 
 # ---------------------------------------------------------------------------
 # machine-level identity (the group handler under real traffic)
 
 
-def test_machine_run_identical_across_drains(monkeypatch):
+def test_machine_run_identical_across_drains():
     from repro.core.config import CedarConfig
     from repro.core.machine import CedarMachine
     from repro.kernels.programs import KERNELS, kernel_program
 
-    results = {}
-    for gate in ("0", "1"):
-        monkeypatch.setenv("CEDAR_BATCHED", gate)
-        machine = CedarMachine(CedarConfig())
-        programs = {
-            port: kernel_program(KERNELS["CG"], port, 2, prefetch=True)
-            for port in range(4)
-        }
-        cycles = machine.run_programs(programs)
-        results[gate] = (
-            cycles,
-            machine.engine.events_processed,
-            machine.ctx.stats(),
-        )
-    scalar, batched = results["0"], results["1"]
-    assert type(CedarMachine(CedarConfig()).engine) is BatchedEngine
-    assert batched[0] == scalar[0], "simulated cycles diverged"
-    assert batched[1] == scalar[1], "event counts diverged"
-    assert batched[2] == scalar[2], "component counters diverged"
+    machine = CedarMachine(CedarConfig())
+    programs = {
+        port: kernel_program(KERNELS["CG"], port, 2, prefetch=True)
+        for port in range(4)
+    }
+    cycles = machine.run_programs(programs)
+    stats = machine.ctx.stats()
+    # the scalar reference engine's cycles, event count and counters.
+    assert cycles == 841.0, "simulated cycles diverged"
+    assert machine.engine.events_processed == 11948, "event counts diverged"
+    assert stats["net.fwd"] == {
+        "packets_delivered": 1536, "words_delivered": 1792,
+        "rejected_offers": 0, "injection_rejections": 0,
+    }
+    assert stats["net.rev"] == {
+        "packets_delivered": 1280, "words_delivered": 1280,
+        "rejected_offers": 0, "injection_rejections": 0,
+    }
+    assert stats["gmem"] == {
+        "reads": 1280, "writes": 256, "sync_ops": 0, "busy_cycles": 3072.0,
+        "ecc_retries": 0, "sync_timeouts": 0,
+    }
+    assert [
+        (stats[f"ce[{p}]"]["stall_cycles"], stats[f"ce[{p}]"]["finished_at"])
+        for p in range(4)
+    ] == [(128.0, 832.0), (131.0, 835.0), (134.0, 838.0), (137.0, 841.0)]
+    assert [stats[f"pfu[{p}]"]["words_requested"] for p in range(4)] == [320] * 4

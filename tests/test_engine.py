@@ -53,6 +53,24 @@ def test_negative_delay_rejected():
         eng.schedule_after(-1, lambda: None)
 
 
+def test_nan_times_rejected():
+    # NaN compares false against everything, so a ``when < now`` guard
+    # would let it through and corrupt the queue order.
+    eng = Engine()
+    nan = float("nan")
+    with pytest.raises(SimulationError):
+        eng.schedule(nan, lambda: None)
+    with pytest.raises(SimulationError):
+        eng.schedule_after(nan, lambda: None)
+    seen = []
+    eng.schedule(5.0, lambda: seen.append(eng.now))
+    eng.run()
+    assert seen == [5.0]
+    assert eng.pending() == 0
+    with pytest.raises(SimulationError):
+        eng.schedule(1.0, lambda: None)
+
+
 def test_run_until_bound():
     eng = Engine()
     seen = []
@@ -163,13 +181,12 @@ def test_callback_receives_scheduled_args():
     assert seen == ["a", (1, 2)]
 
 
-# -- out-of-order scheduling (heap path) -----------------------------------
+# -- out-of-order scheduling -------------------------------------------------
 
 
 def test_out_of_order_schedules_interleave_correctly():
-    # Descending times force every record through the heap, then the
-    # monotone appends land on the sorted tail; the merged order must
-    # still be global (when, seq) order.
+    # Descending times, then monotone appends from a running chain; the
+    # dispatch order must still be global time order.
     eng = Engine()
     seen = []
     for t in (9, 7, 5, 3, 1):
@@ -188,19 +205,19 @@ def test_out_of_order_schedules_interleave_correctly():
 def test_tie_between_heap_and_tail_breaks_by_schedule_order():
     eng = Engine()
     seen = []
-    eng.schedule(10, lambda: seen.append("tail-early"))
-    eng.schedule(5, lambda: seen.append("heap"))  # out of order -> heap
+    eng.schedule(10, lambda: seen.append("scheduled-first"))
+    eng.schedule(5, lambda: seen.append("earlier"))  # out of order
     eng.run()
-    assert seen == ["heap", "tail-early"]
+    assert seen == ["earlier", "scheduled-first"]
 
 
 def test_fifo_ties_across_heap_and_tail():
     eng = Engine()
     seen = []
-    eng.schedule(10, lambda: seen.append("a"))  # tail, seq 0
-    eng.schedule(10, lambda: seen.append("b"))  # tail, seq 1
-    eng.schedule(9, lambda: None)               # heap (out of order)
-    eng.schedule(10, lambda: seen.append("c"))  # tail, seq 3
+    eng.schedule(10, lambda: seen.append("a"))
+    eng.schedule(10, lambda: seen.append("b"))
+    eng.schedule(9, lambda: None)  # out of order, between the ties
+    eng.schedule(10, lambda: seen.append("c"))
     eng.run()
     assert seen == ["a", "b", "c"]
 

@@ -172,6 +172,16 @@ class TestEngineSelfMetrics:
         assert m["events_per_sec"] > 0
         assert m["pending"] == 0
 
+    def test_queue_depth_counts_distinct_pending_timestamps(self):
+        eng = Engine()
+        for when in (1.0, 1.0, 2.0, 5.0, 5.0, 5.0):
+            eng.schedule(when, lambda: None)
+        m = eng.self_metrics()
+        assert m["queue_depth_timestamps"] == 3
+        assert m["pending"] == 6
+        eng.run(until=2.0)
+        assert eng.self_metrics()["queue_depth_timestamps"] == 1
+
     def test_reset_clears_self_metrics(self):
         eng = Engine()
         eng.schedule_after(1.0, lambda: None)
