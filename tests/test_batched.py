@@ -336,7 +336,17 @@ def test_pulse_visits_until_run():
 # exceptions: the queue survives a raising callback
 
 
-def test_raising_callback_consumes_itself_and_preserves_rest():
+# Each case drives one of the engine's two inner loops: an unbounded run
+# takes the group-dispatch loop, a bounded run the checked loop.  The case
+# ids keep the engine class names the cases once ran on.
+@pytest.mark.parametrize(
+    "drain",
+    [
+        pytest.param(lambda eng: eng.run(max_events=1000), id="BatchedEngine"),
+        pytest.param(lambda eng: eng.run_until_idle(), id="Engine"),
+    ],
+)
+def test_raising_callback_consumes_itself_and_preserves_rest(drain):
     eng = Engine()
     seen = []
 
@@ -349,12 +359,12 @@ def test_raising_callback_consumes_itself_and_preserves_rest():
     eng.schedule(1.0, lambda: seen.append("b"))
     eng.schedule(2.0, lambda: seen.append("c"))
     with pytest.raises(RuntimeError):
-        eng.run_until_idle()
+        drain(eng)
     assert seen == ["a", "boom"]
     # the raising event is spent; the untouched remainder is intact and
     # a resumed drain dispatches it exactly once, in order.
     assert eng.pending() == 2
-    eng.run_until_idle()
+    drain(eng)
     assert seen == ["a", "boom", "b", "c"]
     assert eng.pending() == 0
 
