@@ -17,8 +17,9 @@ streaming path is built on:
 
 * :class:`ExemplarReservoir` — tree-buffer-style retention of the most
   informative recent history: the K **slowest complete** request spans
-  (eviction keyed on latency rank, ties broken by a seeded hash so
-  retention among equal-latency spans is reproducible but unbiased)
+  (eviction keyed on latency rank, ties broken by a seeded hash of the
+  span's birth ordinal so retention among equal-latency spans is
+  reproducible but unbiased)
   plus the K **most recent incomplete** spans.  Everything else is
   released the moment it has been folded into the sketches.
 
@@ -238,10 +239,10 @@ class QuantileSketch:
 # exemplar retention
 
 
-def _tie_hash(request_id: int, seed: int) -> int:
+def _tie_hash(ordinal: int, seed: int) -> int:
     """Deterministic tie-break mix for equal-latency spans (splitmix-ish,
-    so retention does not simply favour low request ids)."""
-    x = (request_id ^ (seed * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
+    so retention does not simply favour early births)."""
+    x = (ordinal ^ (seed * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     return x ^ (x >> 31)
 
@@ -250,8 +251,10 @@ class ExemplarReservoir:
     """Fixed-size retention of the most informative spans.
 
     Keeps the ``k`` slowest **complete** spans (latency rank; equal
-    latencies tie-break on a seeded hash of the request id, so two runs
-    of the same simulation retain the same exemplars) and the ``k``
+    latencies tie-break on a seeded hash of the span's birth
+    ``ordinal``, so two runs of the same simulation retain the same
+    exemplars — request ids would not do: they come from a process-wide
+    counter whose start depends on what ran earlier) and the ``k``
     most **recent incomplete** spans (by birth time — the in-flight
     tail a hung run leaves behind).  Memory is O(k) regardless of how
     many spans are offered.
@@ -269,8 +272,8 @@ class ExemplarReservoir:
         self.offered_complete = 0
         self.offered_incomplete = 0
 
-    def _rank(self, latency: float, request_id: int) -> Tuple[float, int]:
-        return (latency, _tie_hash(request_id, self.seed))
+    def _rank(self, latency: float, ordinal: int) -> Tuple[float, int]:
+        return (latency, _tie_hash(ordinal, self.seed))
 
     def offer_complete(self, span) -> bool:
         """Offer a completed span; returns True when retained.  The
@@ -278,7 +281,7 @@ class ExemplarReservoir:
         self.offered_complete += 1
         import heapq
 
-        entry = (*self._rank(span.latency, span.request_id), span)
+        entry = (*self._rank(span.latency, span.ordinal), span)
         if len(self._slowest) < self.k:
             heapq.heappush(self._slowest, entry)
             return True
@@ -293,7 +296,7 @@ class ExemplarReservoir:
         self.offered_incomplete += 1
         import heapq
 
-        entry = (span.birth, _tie_hash(span.request_id, self.seed), span)
+        entry = (span.birth, _tie_hash(span.ordinal, self.seed), span)
         if len(self._recent_incomplete) < self.k:
             heapq.heappush(self._recent_incomplete, entry)
         elif entry[:2] > self._recent_incomplete[0][:2]:

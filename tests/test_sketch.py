@@ -191,7 +191,8 @@ class TestBucketCap:
 
 
 def _span(request_id, latency, birth=0.0):
-    return SimpleNamespace(request_id=request_id, latency=latency, birth=birth)
+    return SimpleNamespace(request_id=request_id, ordinal=request_id,
+                           latency=latency, birth=birth)
 
 
 class TestExemplarReservoir:
@@ -213,7 +214,7 @@ class TestExemplarReservoir:
     def test_equal_latency_retention_is_seed_deterministic(self):
         """Two reservoirs with the same seed retain the same subset of
         an all-equal-latency population in the same order; the subset is
-        a pure function of (seed, request ids), not offer order."""
+        a pure function of (seed, birth ordinals), not offer order."""
 
         def retained(seed, order):
             reservoir = ExemplarReservoir(k=8, seed=seed)
