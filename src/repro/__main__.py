@@ -393,21 +393,18 @@ def _analyze(args) -> str:
     from repro.core.context import add_context_observer, remove_context_observer
     from repro.experiments.runner import clear_memoized_runs, experiment
     from repro.monitor.analysis import latency_report
-    from repro.monitor.spans import LatencyAnalysis, SpanCollector, validate_spans
+    from repro.monitor.spans import (
+        LatencyAnalysis,
+        SpanCollector,
+        merge_span_docs,
+        validate_spans,
+    )
 
     exp = experiment(args.experiment)
     collectors = []
 
-    if args.stream:
-        from repro.monitor.streamstore import StreamingSpanStore
-
-        def _observe(ctx) -> None:
-            collectors.append(StreamingSpanStore().attach(ctx.bus))
-
-    else:
-
-        def _observe(ctx) -> None:
-            collectors.append(SpanCollector().attach(ctx.bus))
+    def _observe(ctx) -> None:
+        collectors.append(SpanCollector(stream=args.stream).attach(ctx.bus))
 
     clear_memoized_runs()  # memoized runs would build no machines
     observer = add_context_observer(_observe)
@@ -421,51 +418,29 @@ def _analyze(args) -> str:
         raise SystemExit(
             f"experiment {args.experiment!r} built no machines to trace"
         )
+    analysis = LatencyAnalysis.from_collectors(collectors)
+    incomplete = sum(
+        len(c.incomplete_spans()) + c.evicted for c in collectors
+    )
     if args.stream:
-        from repro.monitor.streamstore import (
-            StreamingLatencyAnalysis,
-            merge_streaming_docs,
-        )
-
-        analysis = StreamingLatencyAnalysis.from_stores(collectors)
-        traced = analysis.requests
-        docs = [c.spans() for c in collectors]
-        incomplete = sum(d["incomplete"] for d in docs)
-        dropped = analysis.dropped
         footprint = sum(c.tracing_footprint() for c in collectors)
         tail = (
-            f"{traced} requests folded across {len(collectors)} machine(s)"
-            f" ({incomplete} incomplete at sim end, {dropped} dropped, "
-            f"{analysis.evicted} evicted; {footprint} resident traced items)"
+            f"{analysis.requests} requests folded across {len(collectors)}"
+            f" machine(s) ({incomplete} incomplete at sim end, "
+            f"{analysis.dropped} dropped, {analysis.evicted} evicted; "
+            f"{footprint} resident traced items)"
         )
     else:
-        spans = [s for c in collectors for s in c.complete_spans()]
-        analysis = LatencyAnalysis(
-            spans, dropped=sum(c.dropped for c in collectors)
-        )
-        incomplete = sum(len(c.incomplete_spans()) for c in collectors)
         tail = (
-            f"{len(spans)} requests traced across {len(collectors)} machine(s)"
-            f" ({incomplete} incomplete at sim end, {analysis.dropped} dropped)"
+            f"{sum(c.completed for c in collectors)} requests traced across "
+            f"{len(collectors)} machine(s) ({incomplete} incomplete at sim "
+            f"end, {analysis.dropped} dropped)"
         )
     sections = [latency_report(analysis, top=args.top), tail]
     if args.out:
         import json
 
-        if args.stream:
-            doc = merge_streaming_docs(docs)
-        elif len(collectors) == 1:
-            doc = collectors[0].spans()
-        else:
-            docs = [c.spans() for c in collectors]
-            doc = {
-                "version": docs[0]["version"],
-                "complete": sum(d["complete"] for d in docs),
-                "incomplete": sum(d["incomplete"] for d in docs),
-                "dropped": sum(d["dropped"] for d in docs),
-                # request ids are process-wide unique, so machines merge
-                "requests": [r for d in docs for r in d["requests"]],
-            }
+        doc = merge_span_docs([c.spans() for c in collectors])
         n_requests, n_complete = validate_spans(doc)
         with open(args.out, "w") as fh:
             json.dump(doc, fh)

@@ -41,8 +41,6 @@ its cycle counts are bit-identical with or without monitors attached.
 # gmemory -> network.resource.
 _EXPORTS = {
     "ChromeTracer": "repro.monitor.tracer",
-    "Event": "repro.monitor.tracer",
-    "EventTracer": "repro.monitor.tracer",
     "validate_chrome_trace": "repro.monitor.tracer",
     "validate_chrome_trace_file": "repro.monitor.tracer",
     "Histogrammer": "repro.monitor.histogram",
@@ -75,12 +73,8 @@ _EXPORTS = {
     "SpanCollector": "repro.monitor.spans",
     "validate_spans": "repro.monitor.spans",
     "validate_spans_file": "repro.monitor.spans",
-    "SampledSpanCollector": "repro.monitor.sampling",
     "ExemplarReservoir": "repro.monitor.sketch",
     "QuantileSketch": "repro.monitor.sketch",
-    "SampledStreamingSpanStore": "repro.monitor.streamstore",
-    "StreamingLatencyAnalysis": "repro.monitor.streamstore",
-    "StreamingSpanStore": "repro.monitor.streamstore",
     "DEFAULT_TELEMETRY_DIR": "repro.monitor.telemetry",
     "FleetTelemetry": "repro.monitor.telemetry",
     "HeartbeatEmitter": "repro.monitor.telemetry",
@@ -161,18 +155,12 @@ __all__ = [
     "render_compare",
     "validate_telemetry",
     "validate_telemetry_file",
-    "SampledSpanCollector",
-    "SampledStreamingSpanStore",
-    "StreamingLatencyAnalysis",
-    "StreamingSpanStore",
     "ExemplarReservoir",
     "QuantileSketch",
     "ChromeTracer",
     "ClusterMonitor",
     "Counter",
     "DEFAULT_REPORT_DIR",
-    "Event",
-    "EventTracer",
     "Gauge",
     "Histogrammer",
     "LatencyAnalysis",

@@ -62,10 +62,10 @@ class ReportCollector:
         self._records: List[tuple] = []
         self._observer = None
         self.collect_spans = collect_spans
-        #: streaming collection: attach a bounded-memory
-        #: :class:`~repro.monitor.streamstore.StreamingSpanStore` per
-        #: machine instead of the buffered collector — same signals,
-        #: sketch-backed latency summary, no request cap to hit.
+        #: streaming collection: each machine's span collector folds
+        #: finished requests into bounded-memory sketches instead of
+        #: buffering them — same signals, sketch-backed latency
+        #: summary, no request cap to hit.
         self.stream = stream
         #: time-resolved collection: a sampling interval in simulated
         #: cycles arms a :class:`~repro.monitor.timeline.MetricTimeline`
@@ -109,14 +109,9 @@ class ReportCollector:
         monitors = attach_standard_monitors(ctx.bus, registry)
         spans = None
         if self.collect_spans:
-            if self.stream:
-                from repro.monitor.streamstore import StreamingSpanStore
-
-                spans = StreamingSpanStore(
-                    max_requests=self.SPAN_CAP
-                ).attach(ctx.bus)
-            else:
-                spans = SpanCollector(max_requests=self.SPAN_CAP).attach(ctx.bus)
+            spans = SpanCollector(
+                max_requests=self.SPAN_CAP, stream=self.stream
+            ).attach(ctx.bus)
         timeline = None
         if self.timeline is not None:
             from repro.monitor.timeline import MetricTimeline, machine_probes
@@ -153,18 +148,9 @@ class ReportCollector:
                 timeline.finalize(engine.now)
                 record["timeline"] = timeline.to_dict()
             if spans is not None:
-                if self.stream:
-                    from repro.monitor.streamstore import (
-                        StreamingLatencyAnalysis,
-                    )
-
-                    record["latency"] = StreamingLatencyAnalysis.from_store(
-                        spans
-                    ).summary()
-                else:
-                    record["latency"] = LatencyAnalysis.from_collector(
-                        spans
-                    ).summary()
+                record["latency"] = LatencyAnalysis.from_collectors(
+                    [spans]
+                ).summary()
             out.append(record)
         return out
 

@@ -6,7 +6,6 @@ import pytest
 from repro.core.config import CedarConfig
 from repro.core.machine import CedarMachine
 from repro.cluster.ce import AwaitStream, GlobalLoad, GlobalStore, StartPrefetch
-from repro.monitor.sampling import SampledSpanCollector
 from repro.monitor.spans import PHASES, SpanCollector, validate_spans
 
 
@@ -35,7 +34,7 @@ class TestSampling:
     def test_every_one_matches_full_tracing(self):
         full = SpanCollector()
         _run(full)
-        sampled = SampledSpanCollector(every=1)
+        sampled = SpanCollector(every=1)
         _run(sampled)
         assert sampled.completed == full.completed
         assert sampled.sampled_out == 0
@@ -47,16 +46,16 @@ class TestSampling:
         full = SpanCollector()
         _run(full)
         births = full.completed + full.dropped + len(full.incomplete_spans())
-        sampled = SampledSpanCollector(every=4)
+        sampled = SpanCollector(every=4)
         _run(sampled)
         traced = sampled.completed + len(sampled.incomplete_spans())
         assert traced + sampled.sampled_out == births
         assert traced == -(-births // 4)  # every 4th birth, starting at 0
 
     def test_selection_is_deterministic_across_runs(self):
-        first = SampledSpanCollector(every=4)
+        first = SpanCollector(every=4)
         _run(first)
-        second = SampledSpanCollector(every=4)
+        second = SpanCollector(every=4)
         _run(second)
         assert {s.request_id for s in first.complete_spans()} != set()
         # the *k-th born* reference is traced, so identical runs trace
@@ -66,7 +65,7 @@ class TestSampling:
         assert firsts == seconds
 
     def test_traced_spans_reconcile_exactly(self):
-        sampled = SampledSpanCollector(every=4)
+        sampled = SpanCollector(every=4)
         _run(sampled)
         spans = sampled.complete_spans()
         assert spans  # the sample is non-empty
@@ -80,7 +79,7 @@ class TestSampling:
             assert span.hops  # hop records were emitted for the sample
 
     def test_sampled_out_packets_build_no_hop_records(self):
-        sampled = SampledSpanCollector(every=1_000_000)
+        sampled = SpanCollector(every=1_000_000)
         _run(sampled)
         # only the first-born reference is traced; every other packet's
         # trace mark is cleared at birth, so the net.span emission sites
@@ -89,7 +88,7 @@ class TestSampling:
         assert sampled.sampled_out > 0
 
     def test_spans_document_records_the_sampling(self):
-        sampled = SampledSpanCollector(every=4)
+        sampled = SpanCollector(every=4)
         _run(sampled)
         doc = sampled.spans()
         assert doc["sampled_every"] == 4
@@ -98,9 +97,9 @@ class TestSampling:
 
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError):
-            SampledSpanCollector(every=0)
+            SpanCollector(every=0)
 
     def test_sampling_does_not_change_cycles(self):
         bare = CedarMachine(CedarConfig()).run_programs(_programs())
-        assert _run(SampledSpanCollector(every=4)) == bare
-        assert _run(SampledSpanCollector(every=1)) == bare
+        assert _run(SpanCollector(every=4)) == bare
+        assert _run(SpanCollector(every=1)) == bare

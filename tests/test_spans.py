@@ -2,6 +2,7 @@
 orphan handling, fault annotation, and the spans-JSON schema."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.monitor.spans import (
     LatencyAnalysis,
     PHASES,
     SpanCollector,
+    merge_span_docs,
     validate_spans,
     validate_spans_file,
 )
@@ -124,6 +126,27 @@ class TestStitching:
         assert collector.dropped > 0
 
 
+class TestOpenSyncBookkeeping:
+    @pytest.mark.parametrize("stream", [False, True], ids=["buffered", "streaming"])
+    def test_finished_and_evicted_syncs_leave_no_entries(self, stream):
+        """The open-sync index (which in-flight sync a timeout charges)
+        forgets a span once it finishes or is evicted at the cap, and an
+        address once its list empties — so it stays bounded however many
+        sync addresses a run touches."""
+        collector = SpanCollector(max_requests=2, stream=stream)
+        packets = [
+            SimpleNamespace(request_id=i, src=0, address=i, words=1,
+                            kind=SimpleNamespace(name="SYNC_REQ"))
+            for i in range(1000)
+        ]
+        for i, packet in enumerate(packets):
+            collector._on_req_birth(packet, "sync", float(i))
+        for i, packet in enumerate(packets):
+            collector._on_req_deliver(packet, 1000.0 + i)
+        assert collector.completed == 2
+        assert collector._open_syncs == {}
+
+
 class TestOrphans:
     def test_truncated_run_leaves_incomplete_spans(self):
         from repro.core.engine import SimulationError
@@ -191,6 +214,18 @@ class TestSpansSchema:
         assert n_requests == len(collector.requests)
         assert n_complete == collector.completed
 
+    def test_merged_buffered_documents_validate_and_add(self):
+        docs = []
+        for _ in range(2):
+            _machine, collector = _traced_run()
+            docs.append(collector.spans())
+        merged = merge_span_docs(docs)
+        assert validate_spans(merged) == (
+            sum(len(d["requests"]) for d in docs),
+            sum(d["complete"] for d in docs),
+        )
+        assert merged["requests"] == docs[0]["requests"] + docs[1]["requests"]
+
     def test_bad_version_rejected(self):
         with pytest.raises(ValueError, match="version"):
             validate_spans(
@@ -210,7 +245,7 @@ class TestSpansSchema:
 class TestLatencyAnalysis:
     def test_phase_shares_partition_end_to_end(self):
         _machine, collector = _traced_run()
-        analysis = LatencyAnalysis.from_collector(collector)
+        analysis = LatencyAnalysis.from_collectors([collector])
         decomposition = analysis.phase_decomposition()
         assert sum(row["share"] for row in decomposition.values()) == (
             pytest.approx(1.0)
@@ -219,7 +254,7 @@ class TestLatencyAnalysis:
 
     def test_bottleneck_attribution_ranks_stages(self):
         _machine, collector = _traced_run()
-        analysis = LatencyAnalysis.from_collector(collector)
+        analysis = LatencyAnalysis.from_collectors([collector])
         ranked = analysis.bottleneck_attribution(q=0.95)
         assert ranked
         shares = [row["share"] for row in ranked]
@@ -228,7 +263,7 @@ class TestLatencyAnalysis:
 
     def test_slowest_orders_by_latency(self):
         _machine, collector = _traced_run()
-        analysis = LatencyAnalysis.from_collector(collector)
+        analysis = LatencyAnalysis.from_collectors([collector])
         slowest = analysis.slowest(3)
         assert len(slowest) == 3
         latencies = [s.latency for s in slowest]
@@ -237,7 +272,7 @@ class TestLatencyAnalysis:
 
     def test_summary_is_json_serializable(self):
         _machine, collector = _traced_run()
-        summary = LatencyAnalysis.from_collector(collector).summary()
+        summary = LatencyAnalysis.from_collectors([collector]).summary()
         assert summary["requests"] == collector.completed
         json.dumps(summary)  # the report embeds this
 
@@ -245,7 +280,7 @@ class TestLatencyAnalysis:
         from repro.monitor.analysis import latency_report
 
         _machine, collector = _traced_run()
-        text = latency_report(LatencyAnalysis.from_collector(collector))
+        text = latency_report(LatencyAnalysis.from_collectors([collector]))
         for phase in PHASES:
             assert phase in text
         assert "bottleneck" in text

@@ -74,13 +74,13 @@ class TestZeroCost:
         """Sampling observes through the same cached net.span channels
         and additionally writes the packets' ``trace`` marks — pure
         observational metadata that must leave cycles bit-identical."""
-        from repro.monitor.sampling import SampledSpanCollector
+        from repro.monitor.spans import SpanCollector
 
         baseline = measure()
         collectors = []
         observer = add_context_observer(
             lambda ctx: collectors.append(
-                SampledSpanCollector(every=4).attach(ctx.bus)
+                SpanCollector(every=4).attach(ctx.bus)
             )
         )
         try:
