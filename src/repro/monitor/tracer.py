@@ -1,7 +1,6 @@
 """Time-stamped event tracing and Chrome/Perfetto trace export.
 
-Each hardware tracer collects up to 1M events; tracers "can be cascaded
-to capture more events".  Programs may post software events too.
+Each hardware tracer collects up to 1M events.
 
 :class:`ChromeTracer` is the whole-machine tracer: it subscribes
 broadcast to every architectural signal on a bus and renders what it
@@ -15,84 +14,7 @@ CE instruction cycle).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-
-@dataclass(frozen=True)
-class Event:
-    """One time-stamped trace event."""
-
-    time: float
-    signal: str
-    value: Any = None
-
-
-class EventTracer:
-    """A cascadable time-stamped event tracer.
-
-    >>> t = EventTracer(capacity=2)
-    >>> t.post(1.0, "a"); t.post(2.0, "b"); t.post(3.0, "c")
-    >>> len(t.events), t.dropped
-    (2, 1)
-    """
-
-    DEFAULT_CAPACITY = 1 << 20  # 1M events per tracer
-
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        cascade: Optional["EventTracer"] = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("tracer capacity must be positive")
-        self.capacity = capacity
-        self.cascade = cascade
-        self.events: List[Event] = []
-        self._dropped = 0
-
-    @property
-    def dropped(self) -> int:
-        """Events lost across the whole cascade chain.
-
-        A full cascade drops into *its own* counter; reporting only the
-        head tracer's count would silently understate loss, so the
-        property sums the chain.
-        """
-        n = self._dropped
-        if self.cascade is not None:
-            n += self.cascade.dropped
-        return n
-
-    def post(self, time: float, signal: str, value: Any = None) -> None:
-        """Record an event, spilling into the cascaded tracer when full."""
-        if len(self.events) < self.capacity:
-            self.events.append(Event(time, signal, value))
-        elif self.cascade is not None:
-            self.cascade.post(time, signal, value)
-        else:
-            self._dropped += 1
-
-    def filter(self, signal: str) -> List[Event]:
-        """Events matching ``signal``, including cascaded ones."""
-        out = [e for e in self.events if e.signal == signal]
-        if self.cascade is not None:
-            out.extend(self.cascade.filter(signal))
-        return out
-
-    def hook(self, signal: str, clock: Callable[[], float]) -> Callable[[Any], None]:
-        """Return a callback posting ``signal`` at the current ``clock()``."""
-
-        def _post(value: Any = None) -> None:
-            self.post(clock(), signal, value)
-
-        return _post
-
-    def __len__(self) -> int:
-        n = len(self.events)
-        if self.cascade is not None:
-            n += len(self.cascade)
-        return n
+from typing import Dict, List, Optional, Tuple
 
 
 # ---------------------------------------------------------------------------

@@ -4,60 +4,6 @@ import pytest
 
 from repro.monitor.histogram import Histogrammer
 from repro.monitor.probes import PrefetchProbe
-from repro.monitor.tracer import EventTracer
-
-
-class TestEventTracer:
-    def test_records_in_order(self):
-        t = EventTracer()
-        t.post(1.0, "sig", "a")
-        t.post(2.0, "sig", "b")
-        assert [e.value for e in t.events] == ["a", "b"]
-
-    def test_capacity_and_drop_counting(self):
-        t = EventTracer(capacity=2)
-        for i in range(5):
-            t.post(float(i), "sig")
-        assert len(t.events) == 2 and t.dropped == 3
-
-    def test_cascading(self):
-        spill = EventTracer(capacity=10)
-        t = EventTracer(capacity=2, cascade=spill)
-        for i in range(5):
-            t.post(float(i), "sig")
-        assert len(t) == 5
-        assert t.dropped == 0
-        assert len(spill.events) == 3
-
-    def test_dropped_spans_cascade(self):
-        """When the whole chain overflows, the head's ``dropped`` must
-        report loss anywhere in the cascade, not just its own."""
-        spill = EventTracer(capacity=2)
-        t = EventTracer(capacity=2, cascade=spill)
-        for i in range(7):
-            t.post(float(i), "sig")
-        assert spill.dropped == 3
-        assert t.dropped == 3  # cascade loss surfaces at the head
-
-    def test_filter_spans_cascade(self):
-        spill = EventTracer(capacity=10)
-        t = EventTracer(capacity=1, cascade=spill)
-        t.post(0.0, "a")
-        t.post(1.0, "b")
-        t.post(2.0, "a")
-        assert [e.time for e in t.filter("a")] == [0.0, 2.0]
-
-    def test_software_event_hook(self):
-        t = EventTracer()
-        clock = iter([5.0, 7.0])
-        hook = t.hook("sw", lambda: next(clock))
-        hook("x")
-        hook("y")
-        assert [(e.time, e.value) for e in t.events] == [(5.0, "x"), (7.0, "y")]
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            EventTracer(capacity=0)
 
 
 class TestHistogrammer:

@@ -122,9 +122,9 @@ class TestSection2MachineClaims:
         """"The event tracers can each collect 1M events and the
         histogrammers have 64K 32-bit counters.""" ""
         from repro.monitor.histogram import Histogrammer
-        from repro.monitor.tracer import EventTracer
+        from repro.monitor.tracer import ChromeTracer
 
-        assert EventTracer.DEFAULT_CAPACITY == 1 << 20
+        assert ChromeTracer.DEFAULT_CAPACITY == 1 << 20
         assert Histogrammer.BINS == 1 << 16
         assert Histogrammer.COUNTER_MAX == (1 << 32) - 1
 
