@@ -9,11 +9,8 @@ experiment at ``--fast`` smoke sizes and diffs the text against
 fails the run; CI's ``golden`` job calls this on every push, and the
 tier-1 suite checks the cheap experiments (``tests/test_golden.py``).
 
-Wall-clock-derived content (events/sec lines, elapsed-seconds fields)
-is normalized out before comparing — the goldens cover *simulated*
-behaviour, not host timing.  Normalization is deliberately narrow:
-every substitution is logged, so a normalization that starts matching
-simulation output would be visible in the job log.
+No rendered report carries host timing, so the text is compared as
+rendered, with nothing normalised out.
 
 Each render starts from cleared in-process memos, so a golden does not
 depend on which experiments ran before it in the same process.
@@ -29,47 +26,26 @@ every registered experiment; exit 0 = all identical).
 from __future__ import annotations
 
 import difflib
-import re
 import sys
 from pathlib import Path
 
 #: the committed goldens, one ``<experiment>.txt`` per registered name.
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
-#: wall-clock normalizations: (label, pattern) applied to every render.
-#: Patterns replace only the numeric payload, keeping the surrounding
-#: text, so a diff in normalized output still reads naturally.
-_WALL_CLOCK = [
-    ("events/sec", re.compile(r"[\d,.]+\s*(events?/s(?:ec)?)")),
-    ("elapsed seconds", re.compile(r"[\d.]+\s*(?:wall[- ])?s(?:ec(?:onds)?)?\b")),
-    ("wall ms", re.compile(r"[\d.]+\s*ms\b")),
-]
 
-
-def _normalize(text: str, notes: set) -> str:
-    for label, pattern in _WALL_CLOCK:
-        text, n = pattern.subn("<wall-clock>", text)
-        if n:
-            notes.add(f"normalized {n}x {label}")
-    return text
-
-
-def render(name: str, notes: set) -> str:
-    """``name``'s report at ``--fast`` sizes, wall-clock normalized."""
+def render(name: str) -> str:
+    """``name``'s report at ``--fast`` sizes."""
     from repro.experiments.runner import clear_memoized_runs, experiment
 
     clear_memoized_runs()
     exp = experiment(name)
-    return _normalize(exp.runner(**exp.arguments(fast=True)), notes)
+    return exp.runner(**exp.arguments(fast=True))
 
 
 def check(name: str) -> list:
     """Render ``name`` and diff it against its golden; return the diff
     lines (empty = identical)."""
-    notes: set = set()
-    actual = render(name, notes)
-    for note in sorted(notes):
-        print(f"  {name}: {note}")
+    actual = render(name)
     path = GOLDEN_DIR / f"{name}.txt"
     expected = path.read_text() if path.exists() else ""
     if actual == expected:
@@ -86,12 +62,9 @@ def check(name: str) -> list:
 
 def write(name: str) -> Path:
     """Render ``name`` and (re)write its golden file."""
-    notes: set = set()
     path = GOLDEN_DIR / f"{name}.txt"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render(name, notes))
-    for note in sorted(notes):
-        print(f"  {name}: {note}")
+    path.write_text(render(name))
     return path
 
 
