@@ -44,12 +44,19 @@ class Histogrammer:
         return min(max(idx, 0), self.bins - 1)
 
     def record(self, value: float) -> None:
-        idx = self.bin_for(value)
+        # :meth:`bin_for` inlined, same float expression: this runs once
+        # per monitored queue change.
+        lo = self.lo
+        idx = int((value - lo) / (self.hi - lo) * self.bins)
+        if idx < 0:
+            idx = 0
+        elif idx >= self.bins:
+            idx = self.bins - 1
         current = self._counts.get(idx, 0)
         if current < self.COUNTER_MAX:
             self._counts[idx] = current + 1
         self.samples += 1
-        if value < self.lo:
+        if value < lo:
             self.underflow += 1
         elif value >= self.hi:
             self.overflow += 1

@@ -18,6 +18,13 @@ never touch machine state, so attaching any set of them leaves cycle
 counts bit-identical (the zero-cost contract, verified by
 ``tests/test_zero_cost.py``).
 
+Handles: a handler resolves its instruments once per emitter (resource
+object, module index or port) at that emitter's first event, in the
+order the registry has always seen them, and keeps the bound handles
+(a :class:`~repro.monitor.metrics.Counter`, a ``Timeline.add``, a
+``TimeWeighted.update``, a ``Histogrammer.record``) in a dict.  Later
+events never format a metric name or look one up.
+
 Metric naming scheme: ``<component path>.<metric>`` where the component
 path matches the machine's resource names — ``net.fwd.s0[3]``,
 ``gmem.module[12]``, ``sync.module[12]``, ``pfu.port[0]``,
@@ -27,9 +34,9 @@ index: ``net.fwd.s0.busy``, ``gmem.busy``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.monitor.metrics import MetricsRegistry
+from repro.monitor.metrics import Counter, MetricsRegistry
 
 #: default busy-timeline bin width in cycles.
 DEFAULT_BIN_CYCLES = 256.0
@@ -69,6 +76,10 @@ class NetworkMonitor(MonitorBase):
     ) -> None:
         super().__init__(metrics)
         self.bin_cycles = bin_cycles
+        #: resource -> (packets Counter, words Counter, stage Timeline.add)
+        self._hops: Dict[object, tuple] = {}
+        #: resource -> (queue_words TimeWeighted.update, queue_dist record)
+        self._queues: Dict[object, tuple] = {}
 
     @staticmethod
     def _stage_path(resource_name: str) -> str:
@@ -76,35 +87,45 @@ class NetworkMonitor(MonitorBase):
         return "net." + resource_name.split("[", 1)[0]
 
     def _on_net_hop(self, resource, packet, time: float) -> None:
-        m = self.metrics
-        base = f"net.{resource.name}"
-        m.counter(f"{base}.packets").inc()
-        m.counter(f"{base}.words").inc(packet.words)
+        handles = self._hops.get(resource)
+        if handles is None:
+            m = self.metrics
+            base = f"net.{resource.name}"
+            handles = self._hops[resource] = (
+                m.counter(f"{base}.packets"),
+                m.counter(f"{base}.words"),
+                m.timeline(self._stage_path(resource.name), self.bin_cycles).add,
+            )
+        packets, words, add_busy = handles
+        packets.value += 1
+        words.value += packet.words
         duration = resource.fixed_cycles + packet.words / resource.words_per_cycle
-        m.timeline(self._stage_path(resource.name), self.bin_cycles).add(
-            time - duration, duration
-        )
+        add_busy(time - duration, duration)
 
-    def _on_net_enqueue(self, resource, packet, time: float) -> None:
-        self._occupancy(resource, time)
+    def _occupancy(self, resource, packet, time: float) -> None:
+        handles = self._queues.get(resource)
+        if handles is None:
+            # raw resource names here: queue signals also come from
+            # memory modules ("gm[4]") and cluster banks ("cl0.cache"),
+            # not only network links.
+            m = self.metrics
+            handles = self._queues[resource] = (
+                m.time_weighted(f"{resource.name}.queue_words").update,
+                m.histogram(
+                    f"{resource.name}.queue_dist",
+                    0.0,
+                    float(max(resource.capacity_words, 1)) + 1.0,
+                    bins=min(64, resource.capacity_words + 2),
+                ).record,
+            )
+        update, record = handles
+        words = resource.queued_words
+        update(words, time)
+        record(words)
 
-    def _on_net_dequeue(self, resource, packet, time: float) -> None:
-        self._occupancy(resource, time)
-
-    def _occupancy(self, resource, time: float) -> None:
-        # raw resource names here: queue signals also come from memory
-        # modules ("gm[4]") and cluster banks ("cl0.cache"), not only
-        # network links.
-        m = self.metrics
-        m.time_weighted(f"{resource.name}.queue_words").update(
-            resource.queued_words, time
-        )
-        m.histogram(
-            f"{resource.name}.queue_dist",
-            0.0,
-            float(max(resource.capacity_words, 1)) + 1.0,
-            bins=min(64, resource.capacity_words + 2),
-        ).record(resource.queued_words)
+    #: one handler for both queue edges: the occupancy after the edge is
+    #: all it records.
+    _on_net_enqueue = _on_net_dequeue = _occupancy
 
 
 class MemoryMonitor(MonitorBase):
@@ -121,14 +142,25 @@ class MemoryMonitor(MonitorBase):
         super().__init__(metrics)
         self.bin_cycles = bin_cycles
         self.histogram_hi = histogram_hi
+        #: module index -> (services, words, service_cycles record, busy add)
+        self._modules: Dict[int, tuple] = {}
 
     def _on_gmem_service(self, module: int, packet, time: float, cycles: float) -> None:
-        m = self.metrics
-        base = f"gmem.module[{module}]"
-        m.counter(f"{base}.services").inc()
-        m.counter(f"{base}.words").inc(packet.words)
-        m.histogram(f"{base}.service_cycles", 0.0, self.histogram_hi).record(cycles)
-        m.timeline("gmem.busy", self.bin_cycles).add(time - cycles, cycles)
+        handles = self._modules.get(module)
+        if handles is None:
+            m = self.metrics
+            base = f"gmem.module[{module}]"
+            handles = self._modules[module] = (
+                m.counter(f"{base}.services"),
+                m.counter(f"{base}.words"),
+                m.histogram(f"{base}.service_cycles", 0.0, self.histogram_hi).record,
+                m.timeline("gmem.busy", self.bin_cycles).add,
+            )
+        services, words, record, add_busy = handles
+        services.value += 1
+        words.value += packet.words
+        record(cycles)
+        add_busy(time - cycles, cycles)
 
 
 class SyncMonitor(MonitorBase):
@@ -153,26 +185,60 @@ class PrefetchMonitor(MonitorBase):
 
     def __init__(self, metrics: MetricsRegistry) -> None:
         super().__init__(metrics)
-        self._in_flight: dict = {}
+        #: one ``{port: handles}`` dict per signal: a port's counters
+        #: appear in the registry as its signals first fire.
+        self._streams: Dict[int, Counter] = {}
+        self._requests: Dict[int, tuple] = {}
+        self._deliveries: Dict[int, tuple] = {}
+        self._suspensions: Dict[int, Counter] = {}
+        #: port -> [words in flight, outstanding TimeWeighted.update]
+        self._in_flight: Dict[int, list] = {}
+
+    def _counter(self, port: int, metric: str) -> Counter:
+        return self.metrics.counter(f"pfu.port[{port}].{metric}")
+
+    def _flight(self, port: int, metric: str) -> tuple:
+        """``(counter, in-flight state)``, resolved in that order."""
+        counter = self._counter(port, metric)
+        flight = self._in_flight.get(port)
+        if flight is None:
+            flight = self._in_flight[port] = [
+                0,
+                self.metrics.time_weighted(f"pfu.port[{port}].outstanding").update,
+            ]
+        return counter, flight
 
     def _on_pfu_arm(self, port: int, time: float) -> None:
-        self.metrics.counter(f"pfu.port[{port}].streams").inc()
+        counter = self._streams.get(port)
+        if counter is None:
+            counter = self._streams[port] = self._counter(port, "streams")
+        counter.value += 1
 
     def _on_pfu_request(self, port: int, word_index: int, time: float) -> None:
-        self.metrics.counter(f"pfu.port[{port}].requests").inc()
-        self._bump(port, +1, time)
+        handles = self._requests.get(port)
+        if handles is None:
+            handles = self._requests[port] = self._flight(port, "requests")
+        counter, flight = handles
+        counter.value += 1
+        flight[0] += 1
+        flight[1](flight[0], time)
 
     def _on_pfu_deliver(self, port: int, word_index: int, time: float) -> None:
-        self.metrics.counter(f"pfu.port[{port}].deliveries").inc()
-        self._bump(port, -1, time)
+        handles = self._deliveries.get(port)
+        if handles is None:
+            handles = self._deliveries[port] = self._flight(port, "deliveries")
+        counter, flight = handles
+        counter.value += 1
+        flight[0] -= 1
+        flight[1](flight[0], time)
 
     def _on_pfu_suspend(self, port: int, time: float) -> None:
-        self.metrics.counter(f"pfu.port[{port}].page_suspensions").inc()
-
-    def _bump(self, port: int, delta: int, time: float) -> None:
-        count = self._in_flight.get(port, 0) + delta
-        self._in_flight[port] = count
-        self.metrics.time_weighted(f"pfu.port[{port}].outstanding").update(count, time)
+        counter = self._suspensions.get(port)
+        if counter is None:
+            counter = self._suspensions[port] = self._counter(
+                port, "page_suspensions"
+            )
+        counter.value += 1
 
 
 class ClusterMonitor(MonitorBase):
@@ -185,14 +251,24 @@ class ClusterMonitor(MonitorBase):
     ) -> None:
         super().__init__(metrics)
         self.bin_cycles = bin_cycles
+        #: resource -> (packets Counter, words Counter, busy Timeline.add)
+        self._resources: Dict[object, tuple] = {}
 
     def _on_cluster_access(self, resource, packet, time: float) -> None:
-        m = self.metrics
-        base = f"cluster.{resource.name}"
-        m.counter(f"{base}.packets").inc()
-        m.counter(f"{base}.words").inc(packet.words)
+        handles = self._resources.get(resource)
+        if handles is None:
+            m = self.metrics
+            base = f"cluster.{resource.name}"
+            handles = self._resources[resource] = (
+                m.counter(f"{base}.packets"),
+                m.counter(f"{base}.words"),
+                m.timeline(f"{base}.busy", self.bin_cycles).add,
+            )
+        packets, words, add_busy = handles
+        packets.value += 1
+        words.value += packet.words
         duration = resource.fixed_cycles + packet.words / resource.words_per_cycle
-        m.timeline(f"{base}.busy", self.bin_cycles).add(time - duration, duration)
+        add_busy(time - duration, duration)
 
 
 class FaultMonitor(MonitorBase):

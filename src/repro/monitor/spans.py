@@ -355,6 +355,8 @@ class SpanCollector:
         self._events: List[tuple] = []
         self._open_syncs: Dict[int, List[int]] = {}
         self._subscriptions: List[tuple] = []
+        #: resource name -> its :func:`_stage_of` stage, memoised by ``_drain``.
+        self._stages: Dict[str, str] = {}
         #: references born since attach (the deterministic birth clock).
         self.births_seen = 0
         #: references skipped by sampling (disjoint from ``dropped``).
@@ -485,6 +487,7 @@ class SpanCollector:
         events = buffer[:]
         del buffer[:]
         requests = self._requests
+        stages = self._stages
         i = 0
         n = len(events)
         while i < n:
@@ -508,7 +511,10 @@ class SpanCollector:
                     if is_write:
                         self._finish(span, depart)
                     continue
-                hop = HopSpan(name, _stage_of(name), is_reply, enqueue, svc)
+                stage = stages.get(name)
+                if stage is None:
+                    stage = stages[name] = _stage_of(name)
+                hop = HopSpan(name, stage, is_reply, enqueue, svc)
                 hop.service_end = service_end
                 hop.depart = depart
                 span.hops.append(hop)

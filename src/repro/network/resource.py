@@ -89,7 +89,7 @@ class Resource:
         "_recovered_at",
         "stats",
         "_queue",
-        "_words_queued",
+        "queued_words",
         "_serving",
         "_blocked_head",
         "_blocked_since",
@@ -130,7 +130,8 @@ class Resource:
         self._recovered_at = 0.0
         self.stats = ResourceStats()
         self._queue: Deque[Transit] = deque()
-        self._words_queued = 0
+        #: words in the queue now; read it, never assign it from outside.
+        self.queued_words = 0
         self._serving = False
         self._blocked_head: Optional[Transit] = None
         self._blocked_since: float = 0.0
@@ -171,23 +172,27 @@ class Resource:
     # -- admission ---------------------------------------------------------
 
     def has_space(self) -> bool:
-        return self._words_queued < self.capacity_words
+        return self.queued_words < self.capacity_words
 
     def offer(self, transit: Transit) -> bool:
         """Try to accept ``transit``; returns False when the queue is
         full — the caller must block and retry on waiter notification."""
-        if self._words_queued >= self.capacity_words:
+        if self.queued_words >= self.capacity_words:
             self.stats.rejected_offers += 1
             return False
         self._queue.append(transit)
-        self._words_queued += transit.packet.words
+        self.queued_words += transit.packet.words
         if self.span_signal.callbacks:
             # direct slot read: the property descriptor costs a frame,
             # and this stamp runs once per occupancy on traced runs.
             transit.enq_t = self.engine._now
-        sig = self.enqueue_signal
-        if sig.callbacks:
-            sig.emit(self, transit.packet, self.engine.now)
+        cbs = self.enqueue_signal.callbacks
+        if cbs:
+            # inlined emit (as net.span below): no Signal.emit frame
+            pkt = transit.packet
+            now = self.engine._now
+            for cb in cbs:
+                cb(self, pkt, now)
         if not self._serving and self._blocked_head is None:
             self._maybe_start()
         return True
@@ -205,7 +210,7 @@ class Resource:
         """Hook called when a packet's service finishes, before handoff.
 
         Subclasses (memory modules) may transform ``transit.packet`` —
-        adjusting :attr:`_words_queued` for any size change — or consume
+        adjusting :attr:`queued_words` for any size change — or consume
         the packet entirely by returning False.
         """
         return True
@@ -266,7 +271,7 @@ class Resource:
             nxt(transit.packet)
             self._advance()
             return
-        if nxt._words_queued < nxt.capacity_words:
+        if nxt.queued_words < nxt.capacity_words:
             self._pop_head(transit)
             transit.idx = nxt_idx
             if not nxt.offer(transit):
@@ -283,7 +288,7 @@ class Resource:
         if head is not transit:
             raise SimulationError(f"{self.name}: departing packet is not at head")
         words = transit.packet.words
-        self._words_queued -= words
+        self.queued_words -= words
         st = self.stats
         st.packets += 1
         st.words += words
@@ -293,12 +298,14 @@ class Resource:
         if self._blocked_head is transit:
             st.blocked_cycles += now - self._blocked_since
             self._blocked_head = None
-        sig = self.dequeue_signal
-        if sig.callbacks:
-            sig.emit(self, transit.packet, now)
-        sig = self.depart_signal
-        if sig.callbacks:
-            sig.emit(self, transit.packet, now)
+        cbs = self.dequeue_signal.callbacks
+        if cbs:
+            for cb in cbs:
+                cb(self, transit.packet, now)
+        cbs = self.depart_signal.callbacks
+        if cbs:
+            for cb in cbs:
+                cb(self, transit.packet, now)
         cbs = self.span_signal.callbacks
         if cbs:
             # pre-packed record (see the net.span catalog entry): packet
@@ -345,7 +352,7 @@ class Resource:
         no blocking.  Part of the component-lifecycle contract."""
         self.stats = ResourceStats()
         self._queue.clear()
-        self._words_queued = 0
+        self.queued_words = 0
         self._serving = False
         self._blocked_head = None
         self._blocked_since = 0.0
@@ -353,10 +360,6 @@ class Resource:
         self._recovered_at = 0.0
 
     # -- introspection -----------------------------------------------------
-
-    @property
-    def queued_words(self) -> int:
-        return self._words_queued
 
     @property
     def queued_packets(self) -> int:
@@ -369,7 +372,7 @@ class Resource:
         return min(1.0, self.stats.busy_cycles / elapsed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Resource {self.name} q={self._words_queued}/{self.capacity_words}>"
+        return f"<Resource {self.name} q={self.queued_words}/{self.capacity_words}>"
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +470,11 @@ def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
             nxt_idx = transit.idx + 1
             nxt = route[nxt_idx] if nxt_idx < len(route) else None
             if isinstance(nxt, Resource):
-                if nxt._words_queued < nxt.capacity_words:
+                if nxt.queued_words < nxt.capacity_words:
                     # -- res._pop_head (plain: no recovery, no signals)
                     queue.popleft()
                     words = transit.packet.words
-                    res._words_queued -= words
+                    res.queued_words -= words
                     st = res.stats
                     st.packets += 1
                     st.words += words
@@ -484,7 +487,7 @@ def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
                             )
                     else:
                         nxt._queue.append(transit)
-                        nxt._words_queued += words
+                        nxt.queued_words += words
                         if not nxt._serving and nxt._blocked_head is None:
                             # -- nxt._maybe_start / _start_service /
                             #    engine.schedule_after
@@ -536,7 +539,7 @@ def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
                 # terminal sink callable, or the route ends here.
                 queue.popleft()
                 words = transit.packet.words
-                res._words_queued -= words
+                res.queued_words -= words
                 st = res.stats
                 st.packets += 1
                 st.words += words
