@@ -12,19 +12,22 @@ shared CI runners are noisy; this guards against order-of-magnitude
 regressions (an accidentally-hot monitoring path, a lost fast path),
 not percent-level drift.
 
-Part two runs a small whole-machine kernel simulation in four modes —
+Part two runs a small whole-machine kernel simulation in five modes —
 bare, with a :class:`~repro.monitor.spans.SpanCollector` tracing every
-request, with one tracing 1 in 16 (``every=16``), and with a
+request, with one tracing 1 in 16 (``every=16``), with a
 :class:`~repro.monitor.timeline.MetricTimeline` sampling at the
-default 64-cycle interval — and appends one trajectory point (bare
-events/sec, full-span, sampled-span and timeline overhead percentages
-clamped at 0, and inter-rep spread) to ``BENCH_sim.json`` at the
-repository root.  Each point is stamped with the commit, CPU model and
+default 64-cycle interval, and inside a
+:class:`~repro.monitor.report.ReportCollector` as ``run-all`` collects
+reports (standard monitors plus buffered spans) — and appends one
+trajectory point (bare events/sec, full-span, sampled-span, timeline
+and report overhead percentages clamped at 0, and inter-rep spread) to
+``BENCH_sim.json`` at the repository root.  Each point is stamped with the commit, CPU model and
 Python version it was measured on; compare rates only between points
 from the same host.  Gated modes (bare, timeline) take the **median of
 5 timed runs after a warmup iteration**; ungated overhead modes take
-the median of 3.  All modes must report *identical* simulated cycles
-(the zero-cost contract); a mismatch fails the smoke.
+the median of 3; the report mode is ungated.  All modes must report
+*identical* simulated cycles (the zero-cost contract, which the report
+mode extends to the standard monitors); a mismatch fails the smoke.
 
 Usage: ``python benchmarks/perf_smoke.py`` (exit 0 = within tolerance).
 With ``--gate``, additionally enforce the CI perf-gate bands: the new
@@ -55,9 +58,9 @@ SIM_HISTORY = 200
 #: every append so the file's self-description tracks the point schema.
 BENCH_SIM_DESCRIPTION = (
     "simulator perf trajectory: one point per perf-smoke run (bare "
-    "events/sec; full, 1-in-N sampled and timeline collection overhead "
-    "% clamped at 0; inter-rep spread %; peak span-tracing bytes; "
-    "commit, CPU model and Python version of the measuring host)"
+    "events/sec; full, 1-in-N sampled, timeline and report collection "
+    "overhead % clamped at 0; inter-rep spread %; peak span-tracing "
+    "bytes; commit, CPU model and Python version of the measuring host)"
 )
 
 #: a smoke run on a noisy shared runner may be this much slower than the
@@ -169,12 +172,16 @@ def sim_measurement(mode="bare"):
     ``"spans"`` (full :class:`SpanCollector`), ``"sampled"``
     (1-in-``SIM_SAMPLE_EVERY`` sampling :class:`SpanCollector`),
     ``"timeline"`` (a :class:`MetricTimeline` riding the engine pulse
-    at the default interval — the bus stays quiescent)."""
+    at the default interval — the bus stays quiescent), ``"reported"``
+    (a :class:`ReportCollector` installed as ``run-all`` installs it;
+    requests traced are the report's latency ``requests``)."""
     from repro.core.config import CedarConfig
     from repro.core.machine import CedarMachine
     from repro.kernels.programs import KERNELS, kernel_program
+    from repro.monitor.report import ReportCollector
     from repro.monitor.spans import SpanCollector
 
+    reports = ReportCollector().install() if mode == "reported" else None
     machine = CedarMachine(CedarConfig())
     timeline = None
     if mode in ("spans", "sampled"):
@@ -195,9 +202,16 @@ def sim_measurement(mode="bare"):
         port: kernel_program(KERNELS["CG"], port, SIM_STRIPS, prefetch=True)
         for port in range(SIM_CES)
     }
-    cycles = machine.run_programs(programs)
+    try:
+        cycles = machine.run_programs(programs)
+    finally:
+        if reports is not None:
+            reports.uninstall()
     metrics = machine.engine.self_metrics()
     traced = collector.completed if collector is not None else 0
+    if reports is not None:
+        (record,) = reports.machine_dicts()
+        traced = record["latency"]["requests"]
     if collector is not None:
         collector.detach()
     if timeline is not None:
@@ -258,12 +272,13 @@ def append_sim_point() -> dict:
     from the bare run's (a zero-cost violation).
     """
     sim_measurement("bare")  # warmup: imports, packet pool, code caches
-    medians = _median_rates(("bare", "spans", "sampled", "timeline"))
+    medians = _median_rates(("bare", "spans", "sampled", "timeline", "reported"))
     bare = medians["bare"]
     traced = medians["spans"]
     sampled = medians["sampled"]
     timeline = medians["timeline"]
-    for label in ("spans", "sampled", "timeline"):
+    reported = medians["reported"]
+    for label in ("spans", "sampled", "timeline", "reported"):
         if medians[label][0] != bare[0]:
             raise RuntimeError(
                 f"{label} run changed simulated cycles: "
@@ -292,6 +307,8 @@ def append_sim_point() -> dict:
         "events_per_sec_timeline": round(timeline[1], 1),
         "timeline_interval": SIM_TIMELINE_INTERVAL,
         "timeline_overhead_pct": round(_overhead_pct(timeline[1]), 1),
+        "events_per_sec_reported": round(reported[1], 1),
+        "reported_overhead_pct": round(_overhead_pct(reported[1]), 1),
         "bare_spread_pct": round(bare[3] * 100.0, 1),
         "timeline_spread_pct": round(timeline[3] * 100.0, 1),
         "requests_traced": traced[2],
@@ -386,7 +403,8 @@ def main(argv=None) -> int:
         f"{point['sampled_overhead_pct']:+.1f}% sampled 1/"
         f"{point['sampled_every']}, timeline overhead "
         f"{point['timeline_overhead_pct']:+.1f}% at "
-        f"{point['timeline_interval']:g} cycles "
+        f"{point['timeline_interval']:g} cycles, report overhead "
+        f"{point['reported_overhead_pct']:+.1f}% "
         f"({point['requests_traced']} requests traced) -> {BENCH_SIM_JSON.name}"
     )
     if gate:

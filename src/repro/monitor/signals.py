@@ -24,7 +24,9 @@ the *only* mutation points), so an unmonitored emission site is one
 attribute-chain load and one truthiness branch — no method call, no
 dict lookup, and no payload construction.  ``emit`` iterates the same
 immutable tuple, so a monitored emission allocates no per-call
-snapshot either.  Un-monitored simulations therefore pay (effectively)
+snapshot either.  The hottest sites (a ``Resource``'s queue edges and
+departures, a memory module's service) loop over ``callbacks``
+themselves, which saves the ``emit`` frame per event.  Un-monitored simulations therefore pay (effectively)
 nothing, and cycle counts are bit-identical with and without
 monitoring because signals only observe.
 
