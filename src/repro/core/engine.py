@@ -40,13 +40,10 @@ The drain (:meth:`Engine.run`) is one loop over timestamps that pops a
 whole bucket per iteration and dispatches it with one of two inner
 loops, chosen once per run:
 
-* **group dispatch** — for unbounded runs with no caller watchdog.
-  Consecutive records bound to the same function are handed to a
-  registered **group handler** (:func:`register_batch_handler`) in one
-  Python call instead of one frame per event; every other record is
-  called directly.  There are no per-event checks; an armed pulse is
-  visited only between timestamps, so it never observes a
-  half-dispatched cycle;
+* **unchecked dispatch** — for unbounded runs with no caller watchdog.
+  One callback per Python call and no per-event checks beyond
+  :meth:`Engine.request_stop`; an armed pulse is visited only between
+  timestamps, so it never observes a half-dispatched cycle;
 * **checked dispatch** — for runs bounded by ``until``, ``max_events``
   or ``stop_when``, or supervised by a :class:`Watchdog`.  One callback
   per Python call, with the bounds, the predicate and the watchdog
@@ -57,8 +54,13 @@ Cancellation,
 :meth:`Engine.request_stop` mid-bucket and the resume contract behave
 the same under both: the unconsumed rest of a bucket goes back on the
 queue, so a later run continues with no event lost, duplicated or
-reordered.  The committed golden outputs (``benchmarks/golden.py``)
-pin the simulated results of every registered experiment.
+reordered.  Both loops call every callback the same way, so a run's
+results do not depend on which loop dispatched it; the committed golden
+outputs (``benchmarks/golden.py``) pin the simulated results of every
+registered experiment.  Only the drain dispatches events: components
+schedule through :meth:`Engine.schedule` / :meth:`Engine.schedule_after`
+and never touch the queue's storage, whose layout is private to this
+module.
 """
 
 from __future__ import annotations
@@ -66,8 +68,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from time import perf_counter as _perf_counter
-from types import MethodType as _MethodType
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -87,60 +88,6 @@ PULSE_CHECK_EVERY = 4096
 
 class SimulationError(RuntimeError):
     """Raised when the simulation reaches an inconsistent state."""
-
-
-# ---------------------------------------------------------------------------
-# group dispatch
-#
-# A group handler receives one same-timestamp bucket and a start index
-# whose record's callback is a bound method of its registered function
-# (e.g. a ``Resource._finish`` due this cycle) and dispatches the
-# maximal run of such records in one Python call.  The registry is
-# keyed on the unbound function object and consulted only by the
-# group-dispatch inner loop of :meth:`Engine.run`.
-#
-# Handlers run inside the drain and work on the engine's own storage,
-# so they may read and write these :class:`Engine` internals, and
-# nothing else: ``_now`` (read only), ``_buckets`` / ``_ts_heap`` (to
-# schedule inline: append to the ``when`` bucket, or create it and push
-# ``when`` on the heap), ``_free`` (take and return records, capped at
-# ``_FREE_LIST_MAX``), ``_cancelled`` (decrement per reclaimed
-# cancelled slot), ``_stop_requested`` (read) and ``_group_progress``
-# (write, on the exception path below).  ``repro.network.resource``'s
-# ``_finish_batch`` is the one handler; a change to this storage is a
-# change to it too.
-
-#: unbound function -> ``handler(engine, batch, i, n) -> (next_i, executed)``.
-#: The handler must consume records from ``batch[i]`` forward, in
-#: order, for as long as each record is cancelled (``callback is
-#: None`` — decrement ``engine._cancelled`` and recycle the slot) or
-#: bound to the registered function (dispatch it: blank and recycle
-#: the record).  It returns ``(next_i, executed)`` at the first record
-#: bound elsewhere, at ``n``, or — with the index of the first
-#: *unconsumed* record — immediately after a dispatched callback calls
-#: :meth:`Engine.request_stop`.  ``executed`` counts non-cancelled
-#: dispatches only.  The handler must always make progress (consume at
-#: least one record) when ``batch[i]`` matches its function.  When an
-#: exception escapes a dispatched callback, the handler must post
-#: ``engine._group_progress = (next_i, executed)`` — counting the
-#: raising record as consumed — before propagating, so the drain
-#: requeues exactly the unconsumed remainder and never re-queues
-#: records the handler already executed or recycled.
-_BATCH_HANDLERS: Dict[object, Callable] = {}
-
-
-def register_batch_handler(func: Callable, handler: Callable) -> Callable:
-    """Register ``handler`` as the group dispatcher for events whose
-    callback is a bound method of ``func``.  Returns ``handler``.
-
-    The handler must be *semantically transparent*: dispatching the run
-    through it performs exactly the state mutations, in exactly the
-    order, that calling each record's callback in sequence would — as
-    the checked inner loop does — so a run's results do not depend on
-    which inner loop dispatched it.
-    """
-    _BATCH_HANDLERS[func] = handler
-    return handler
 
 
 def make_engine() -> "Engine":
@@ -300,7 +247,6 @@ class Engine:
         "_events_processed",
         "_cancelled",
         "_stop_requested",
-        "_group_progress",
         "_run_wall_s",
         "_runs",
         "_watchdog",
@@ -324,15 +270,11 @@ class Engine:
         self._events_processed = 0
         self._cancelled = 0
         self._stop_requested = False
-        #: ``(next_i, executed)`` posted by a group handler that is
-        #: propagating an exception, so the drain requeues exactly the
-        #: unconsumed remainder (see :func:`register_batch_handler`).
-        self._group_progress: Optional[Tuple[int, int]] = None
         #: wall-clock seconds spent inside run loops (self-metrics).
         self._run_wall_s = 0.0
         self._runs = 0
         #: armed run supervisor; None (or the pulse-only supervisor)
-        #: keeps unbounded runs on the group-dispatch loop.
+        #: keeps unbounded runs on the unchecked loop.
         self._watchdog: Optional[Watchdog] = None
         #: armed pulse hook (heartbeats, metric timelines).
         self._pulse: Optional[Callable[["Engine"], None]] = None
@@ -461,7 +403,7 @@ class Engine:
         Honors :meth:`request_stop` and skips cancelled slots.
 
         A run with no bound and no caller watchdog dispatches each
-        timestamp's bucket through the group-dispatch inner loop, with
+        timestamp's bucket through the unchecked inner loop, with
         an armed pulse visited between timestamps (``events_processed``
         flushed first).  Any bound or a caller watchdog selects the
         checked inner loop, one callback per Python call with every
@@ -473,24 +415,22 @@ class Engine:
         (see the class docstring's resume contract).
         """
         wd = self._watchdog
-        grouped = (
+        unchecked = (
             until is None
             and max_events is None
             and stop_when is None
             and wd is self._pulse_watchdog
         )
-        pulse = self._pulse if grouped else None
+        pulse = self._pulse if unchecked else None
         self._stop_requested = False
         buckets = self._buckets
         ts_heap = self._ts_heap
         pop_ts = _heappop
         free = self._free
         free_max = _FREE_LIST_MAX
-        get_handler = _BATCH_HANDLERS.get
-        method = _MethodType
         pulse_every = self._pulse_every
         next_pulse = pulse_every
-        # group dispatch counts in ``processed`` and flushes it into
+        # the unchecked loop counts in ``processed`` and flushes it into
         # ``_events_processed`` at pulse visits and on exit; the checked
         # loop keeps ``_events_processed`` current after every event.
         processed = 0
@@ -509,43 +449,22 @@ class Engine:
                 n = len(batch)
                 i = 0
                 try:
-                    if grouped:
+                    if unchecked:
                         while i < n:
                             record = batch[i]
+                            # consume before dispatch: a raising callback
+                            # is spent, so the requeue below reinstates
+                            # only ``batch[i:]``.
+                            i += 1
                             cb = record[2]
                             if cb is None:
                                 self._cancelled -= 1
                                 if len(free) < free_max:
                                     free.append(record)
-                                i += 1
                                 continue
-                            if cb.__class__ is method:
-                                handler = get_handler(cb.__func__)
-                                if handler is not None:
-                                    # group run: the handler consumes the
-                                    # maximal run of records bound to its
-                                    # function (cancelled slots ride
-                                    # along) in one Python call.
-                                    try:
-                                        i, done = handler(self, batch, i, n)
-                                    except BaseException:
-                                        progress = self._group_progress
-                                        if progress is not None:
-                                            self._group_progress = None
-                                            i, done = progress
-                                            processed += done
-                                        raise
-                                    processed += done
-                                    if self._stop_requested:
-                                        break
-                                    continue
-                            # consume before dispatch: a raising callback
-                            # is spent, so the requeue below reinstates
-                            # only ``batch[i:]``.
-                            record[2] = None
                             args = record[3]
+                            record[2] = None
                             record[3] = ()
-                            i += 1
                             if args:
                                 cb(*args)
                             else:
@@ -628,7 +547,7 @@ class Engine:
         return watchdog
 
     def detach_watchdog(self) -> Optional[Watchdog]:
-        """Disarm the current watchdog (restoring group dispatch for
+        """Disarm the current watchdog (restoring the unchecked loop for
         unbounded runs) and return it, or None when none was armed (a
         pulse-only supervisor does not count)."""
         watchdog = self._watchdog
@@ -744,7 +663,6 @@ class Engine:
         self._events_processed = 0
         self._cancelled = 0
         self._stop_requested = False
-        self._group_progress = None
         self._run_wall_s = 0.0
         self._runs = 0
         self._watchdog = None

@@ -97,7 +97,7 @@ class MemoryModule(Resource):
             # recomputing the service time here costs nothing on the
             # unmonitored path (we are inside the subscriber guard); it
             # gives the monitors per-module service-time histograms.
-            # The emit is inlined, as in ``Resource._pop_head``.
+            # The emit is inlined, as in ``Resource._depart``.
             now = self.engine._now
             cycles = self.service_cycles(packet)
             for cb in cbs:
@@ -116,8 +116,8 @@ class MemoryModule(Resource):
             on_done = packet.meta.get("on_write_done")
             if on_done is not None:
                 on_done(packet)
-            # consumed here: the departure emissions in _pop_head still
-            # read its fields (reuse cannot happen before _advance runs)
+            # consumed here: the departure emissions in _depart still
+            # read its fields (reuse cannot happen before they run)
             packet.release()
             return False
         elif kind is PacketKind.BLOCK_REQ:

@@ -16,16 +16,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from types import MethodType as _MethodType
-from typing import Callable, Deque, List, Optional, Sequence, Union
+from typing import Callable, Deque, Optional, Sequence, Union
 
-from repro.core.engine import (
-    _FREE_LIST_MAX,
-    _heappush,
-    Engine,
-    SimulationError,
-    register_batch_handler,
-)
+from repro.core.engine import Engine, SimulationError
 from repro.monitor.signals import NULL_SIGNAL
 from repro.network.packet import Packet, PacketKind
 
@@ -53,12 +46,6 @@ class Transit:
         # model itself, so they cannot perturb timing).
         self.enq_t = 0.0
         self.svc_t = 0.0
-
-    def next_hop(self) -> Optional[Hop]:
-        nxt = self.idx + 1
-        if nxt < len(self.route):
-            return self.route[nxt]
-        return None
 
 
 @dataclass
@@ -194,7 +181,7 @@ class Resource:
             for cb in cbs:
                 cb(self, pkt, now)
         if not self._serving and self._blocked_head is None:
-            self._maybe_start()
+            self._start_service(self._queue[0])
         return True
 
     def add_waiter(self, upstream: "Resource") -> None:
@@ -215,33 +202,29 @@ class Resource:
         """
         return True
 
-    def _maybe_start(self) -> None:
-        if self._serving or self._blocked_head is not None or not self._queue:
-            return
-        if self.recovery_cycles and self.engine.now < self._recovered_at:
-            self._serving = True  # hold the slot through recovery
-            transit = self._queue[0]
-            delay = self._recovered_at - self.engine.now
-            self.engine.schedule_after(delay, self._start_service, transit)
-            return
-        self._start_service(self._queue[0])
-
     def _start_service(self, transit: Transit) -> None:
+        """Start serving ``transit`` (the queue head), holding the slot
+        through any recovery window or fault stall first."""
         self._serving = True
+        engine = self.engine
+        if self.recovery_cycles and engine._now < self._recovered_at:
+            # hold the slot through recovery, then start at its end.
+            engine.schedule(self._recovered_at, self._start_service, transit)
+            return
         hook = self.fault_hook
         if hook is not None:
             delay = hook.before_service(self, transit)
             if delay > 0.0:
                 # fault stall: hold the head slot (still serving) and
                 # re-arbitrate once the stall elapses.
-                self.engine.schedule_after(delay, self._start_service, transit)
+                engine.schedule_after(delay, self._start_service, transit)
                 return
         if self._has_service_hook:
             cycles = self.service_cycles(transit.packet)
         else:
             cycles = self.fixed_cycles + transit.packet.words / self.words_per_cycle
         self.stats.busy_cycles += cycles
-        self.engine.schedule_after(cycles, self._finish, transit)
+        engine.schedule_after(cycles, self._finish, transit)
 
     def _finish(self, transit: Transit) -> None:
         if not self._queue or self._queue[0] is not transit:
@@ -251,48 +234,41 @@ class Resource:
             transit.svc_t = self.engine._now
         sig = self.service_end_signal
         if sig.callbacks:
-            sig.emit(self, transit.packet, self.engine.now)
+            sig.emit(self, transit.packet, self.engine._now)
         if self._has_complete_hook and not self.on_service_complete(transit):
-            self._pop_head(transit)
-            self._advance()
+            self._depart(transit, None)
             return
         self._try_handoff(transit)
 
     def _try_handoff(self, transit: Transit) -> None:
+        """Hand the finished head to its next hop, or block in place
+        while that hop's queue is full."""
         route = transit.route
         nxt_idx = transit.idx + 1
         nxt = route[nxt_idx] if nxt_idx < len(route) else None
-        if nxt is None:
-            self._pop_head(transit)
-            self._advance()
-            return
-        if not isinstance(nxt, Resource):
-            self._pop_head(transit)
-            nxt(transit.packet)
-            self._advance()
-            return
-        if nxt.queued_words < nxt.capacity_words:
-            self._pop_head(transit)
-            transit.idx = nxt_idx
-            if not nxt.offer(transit):
-                raise SimulationError(f"{nxt.name} refused after reporting space")
-            self._advance()
-        else:
+        if isinstance(nxt, Resource) and nxt.queued_words >= nxt.capacity_words:
             if self._blocked_head is None:
                 self._blocked_head = transit
-                self._blocked_since = self.engine.now
+                self._blocked_since = self.engine._now
             nxt.add_waiter(self)
+            return
+        self._depart(transit, nxt)
 
-    def _pop_head(self, transit: Transit) -> None:
-        head = self._queue.popleft()
-        if head is not transit:
+    def _depart(self, transit: Transit, nxt: Optional[Hop]) -> None:
+        """Pop the head ``transit`` and pass it to ``nxt``: the next
+        :class:`Resource`, a sink callable, or ``None`` when the packet
+        ends here.  Then wake upstream waiters and start the next
+        service."""
+        queue = self._queue
+        if queue.popleft() is not transit:
             raise SimulationError(f"{self.name}: departing packet is not at head")
-        words = transit.packet.words
+        pkt = transit.packet
+        words = pkt.words
         self.queued_words -= words
         st = self.stats
         st.packets += 1
         st.words += words
-        now = self.engine.now
+        now = self.engine._now
         if self.recovery_cycles:
             self._recovered_at = now + self.recovery_cycles
         if self._blocked_head is transit:
@@ -301,11 +277,11 @@ class Resource:
         cbs = self.dequeue_signal.callbacks
         if cbs:
             for cb in cbs:
-                cb(self, transit.packet, now)
+                cb(self, pkt, now)
         cbs = self.depart_signal.callbacks
         if cbs:
             for cb in cbs:
-                cb(self, transit.packet, now)
+                cb(self, pkt, now)
         cbs = self.span_signal.callbacks
         if cbs:
             # pre-packed record (see the net.span catalog entry): packet
@@ -317,33 +293,29 @@ class Resource:
             # swell collection pauses on long traced runs.  The packet's
             # ``trace`` mark gates the build: a sampled-out reference
             # costs exactly these two attribute loads per hop.
-            pkt = transit.packet
             if pkt.trace:
                 rec = (self.name, pkt.request_id, pkt.is_reply,
                        pkt.kind is _WRITE_REQ,
-                       self.fixed_cycles + pkt.words / self.words_per_cycle,
+                       self.fixed_cycles + words / self.words_per_cycle,
                        transit.enq_t, transit.svc_t, now)
                 for cb in cbs:
                     cb(rec)
-
-    def _advance(self) -> None:
-        """After a departure: wake upstream waiters, start next service."""
-        if self._waiters:
-            self._notify_waiters()
-        if not self._serving and self._blocked_head is None and self._queue:
-            self._maybe_start()
-
-    def _notify_waiters(self) -> None:
-        while self._waiters and self.has_space():
-            upstream = self._waiters.popleft()
-            upstream._retry_blocked()
-
-    def _retry_blocked(self) -> None:
-        transit = self._blocked_head
-        if transit is None:
-            return
-        # _try_handoff clears _blocked_head via _pop_head on success.
-        self._try_handoff(transit)
+        if isinstance(nxt, Resource):
+            transit.idx += 1
+            if not nxt.offer(transit):
+                raise SimulationError(f"{nxt.name} refused after reporting space")
+        elif nxt is not None:
+            nxt(pkt)
+        # wake upstream waiters while space lasts; each retries its
+        # blocked head (a departure clears it, a re-block re-queues).
+        waiters = self._waiters
+        while waiters and self.queued_words < self.capacity_words:
+            upstream = waiters.popleft()
+            blocked = upstream._blocked_head
+            if blocked is not None:
+                upstream._try_handoff(blocked)
+        if not self._serving and self._blocked_head is None and queue:
+            self._start_service(queue[0])
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -373,230 +345,6 @@ class Resource:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Resource {self.name} q={self.queued_words}/{self.capacity_words}>"
-
-
-# ---------------------------------------------------------------------------
-# group dispatch: the inlined link/memory service pass
-#
-# ``Resource._finish`` is ~80% of all events in a kernel run, and its
-# per-event dispatch fans out across six to ten Python frames
-# (_finish -> _try_handoff -> _pop_head -> offer -> _maybe_start ->
-# _start_service -> schedule_after -> ...).  The engine's
-# group-dispatch loop hands every same-cycle run of finishes to
-# `_finish_batch`, which services them in ONE Python call with the
-# whole chain inlined for the dominant case: a plain unmonitored FIFO
-# link (no service / completion hooks, no armed fault site, no recovery
-# window, no subscribed signal channels) handing off to another plain
-# link.
-#
-# Anything off that path — memory modules (completion hook + recovery),
-# monitored links, stages carrying faults or escape routing, blocked
-# heads — falls back to the `Resource` methods *per record*, so the two
-# paths are one semantics with two dispatch costs.  Every inlined
-# mutation below mirrors the method it replaces line for line (change
-# both together); bounded and watchdog-supervised runs call the methods
-# directly, and the committed goldens (``benchmarks/golden.py``) and
-# ``tests/test_batched.py`` pin the results.
-#
-# The handler schedules straight into the engine's bucket queue
-# (``_buckets`` / ``_ts_heap`` / ``_free``); ``repro.core.engine``
-# documents that contract.  It stays because it pays: unregistering it
-# lowered the ``perfbench`` ``kernels`` workload's refs/s in every run of
-# two interleaved three-pair measurements (seed 3, one Intel Xeon host):
-# 32.1k/33.2k/37.1k -> 29.3k/29.5k/30.7k (about -11% at the median) and
-# 32.4k/31.7k/32.1k -> 29.8k/30.9k/30.1k (about -6%).
-
-def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
-    """Group handler for a same-timestamp run of ``Resource._finish``
-    events (see :func:`repro.core.engine.register_batch_handler` for
-    the contract).  Consumes records from ``batch[i]`` forward while
-    they are cancelled or bound to ``Resource._finish``; returns
-    ``(next_index, executed_count)``."""
-    free = eng._free
-    buckets = eng._buckets
-    ts_heap = eng._ts_heap
-    bucket_get = buckets.get
-    now = eng._now
-    heappush = _heappush
-    method = _MethodType
-    finish = _RES_FINISH
-    done = 0
-    try:
-        while i < n:
-            record = batch[i]
-            cb = record[2]
-            if cb is None:
-                # cancelled (possibly by an earlier event in this batch):
-                # reclaim the slot exactly as the drain would.
-                eng._cancelled -= 1
-                if len(free) < _FREE_LIST_MAX:
-                    free.append(record)
-                i += 1
-                continue
-            if cb.__class__ is not method or cb.__func__ is not finish:
-                # end of this group's run — hand control back to the drain.
-                return i, done
-            i += 1
-            res = cb.__self__
-            transit = record[3][0]
-            record[2] = None
-            record[3] = ()
-            # the consumed record is the preferred slot for whatever this
-            # event schedules next (the next-service finish) — reuse is the
-            # free-list round trip with both ends snipped off.
-            spare = record
-            done += 1
-            if (
-                res._has_complete_hook
-                or res.recovery_cycles
-                or res._blocked_head is not None
-                or res.span_signal.callbacks
-                or res.service_end_signal.callbacks
-                or res.dequeue_signal.callbacks
-                or res.depart_signal.callbacks
-            ):
-                # per-record fallback: hooks, monitors, recovery, faults.
-                if len(free) < _FREE_LIST_MAX:
-                    free.append(spare)
-                res._finish(transit)
-                if eng._stop_requested:
-                    return i, done
-                continue
-            queue = res._queue
-            if not queue or queue[0] is not transit:
-                raise SimulationError(f"{res.name}: finished packet is not at head")
-            res._serving = False
-            route = transit.route
-            nxt_idx = transit.idx + 1
-            nxt = route[nxt_idx] if nxt_idx < len(route) else None
-            if isinstance(nxt, Resource):
-                if nxt.queued_words < nxt.capacity_words:
-                    # -- res._pop_head (plain: no recovery, no signals)
-                    queue.popleft()
-                    words = transit.packet.words
-                    res.queued_words -= words
-                    st = res.stats
-                    st.packets += 1
-                    st.words += words
-                    transit.idx = nxt_idx
-                    # -- nxt.offer
-                    if nxt.enqueue_signal.callbacks or nxt.span_signal.callbacks:
-                        if not nxt.offer(transit):
-                            raise SimulationError(
-                                f"{nxt.name} refused after reporting space"
-                            )
-                    else:
-                        nxt._queue.append(transit)
-                        nxt.queued_words += words
-                        if not nxt._serving and nxt._blocked_head is None:
-                            # -- nxt._maybe_start / _start_service /
-                            #    engine.schedule_after
-                            if (
-                                nxt.fault_hook is not None
-                                or nxt._has_service_hook
-                                or nxt.recovery_cycles
-                            ):
-                                nxt._maybe_start()
-                            else:
-                                head = nxt._queue[0]
-                                cycles = (
-                                    nxt.fixed_cycles
-                                    + head.packet.words / nxt.words_per_cycle
-                                )
-                                nxt.stats.busy_cycles += cycles
-                                nxt._serving = True
-                                when = now + cycles
-                                if spare is not None:
-                                    rec = spare
-                                    spare = None
-                                    rec[0] = when
-                                    rec[2] = nxt._finish
-                                    rec[3] = (head,)
-                                elif free:
-                                    rec = free.pop()
-                                    rec[0] = when
-                                    rec[2] = nxt._finish
-                                    rec[3] = (head,)
-                                else:
-                                    rec = [when, 0, nxt._finish, (head,)]
-                                b = bucket_get(when)
-                                if b is None:
-                                    buckets[when] = [rec]
-                                    heappush(ts_heap, when)
-                                else:
-                                    b.append(rec)
-                else:
-                    # head-of-line block: downstream queue is full.
-                    res._blocked_head = transit
-                    res._blocked_since = now
-                    nxt.add_waiter(res)
-                    if len(free) < _FREE_LIST_MAX:
-                        free.append(spare)
-                    if eng._stop_requested:
-                        return i, done
-                    continue
-            else:
-                # terminal sink callable, or the route ends here.
-                queue.popleft()
-                words = transit.packet.words
-                res.queued_words -= words
-                st = res.stats
-                st.packets += 1
-                st.words += words
-                if nxt is not None:
-                    nxt(transit.packet)
-            # -- res._advance
-            if res._waiters:
-                res._notify_waiters()
-            if not res._serving and res._blocked_head is None and queue:
-                if res.fault_hook is not None or res._has_service_hook:
-                    res._maybe_start()
-                else:
-                    head = queue[0]
-                    cycles = (
-                        res.fixed_cycles + head.packet.words / res.words_per_cycle
-                    )
-                    res.stats.busy_cycles += cycles
-                    res._serving = True
-                    when = now + cycles
-                    if spare is not None:
-                        rec = spare
-                        spare = None
-                        rec[0] = when
-                        rec[2] = res._finish
-                        rec[3] = (head,)
-                    elif free:
-                        rec = free.pop()
-                        rec[0] = when
-                        rec[2] = res._finish
-                        rec[3] = (head,)
-                    else:
-                        rec = [when, 0, res._finish, (head,)]
-                    b = bucket_get(when)
-                    if b is None:
-                        buckets[when] = [rec]
-                        heappush(ts_heap, when)
-                    else:
-                        b.append(rec)
-            if spare is not None and len(free) < _FREE_LIST_MAX:
-                free.append(spare)
-            if eng._stop_requested:
-                return i, done
-        return i, done
-    except BaseException:
-        # a raising callback counts as consumed (``i`` advances
-        # before dispatch): report progress so the drain requeues
-        # exactly ``batch[i:]`` — never records this handler already
-        # executed or recycled into other buckets.
-        eng._group_progress = (i, done)
-        raise
-
-
-#: the unbound function the handler is registered for — each record's
-#: callback is tested against this identity to delimit the group run.
-_RES_FINISH = Resource._finish
-
-register_batch_handler(_RES_FINISH, _finish_batch)
 
 
 def start_transit(packet: Packet, route: Sequence[Hop]) -> Transit:

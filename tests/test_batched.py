@@ -16,7 +16,7 @@ produced, recorded before it was deleted.
 
 import pytest
 
-from repro.core.engine import Engine, SimulationError, Watchdog
+from repro.core.engine import _FREE_LIST_MAX, Engine, SimulationError, Watchdog
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +337,8 @@ def test_pulse_visits_until_run():
 
 
 # Each case drives one of the engine's two inner loops: an unbounded run
-# takes the group-dispatch loop, a bounded run the checked loop.  The case
-# ids keep the engine class names the cases once ran on.
+# takes the unchecked loop, a bounded run the checked loop.  The case ids
+# keep the engine class names the cases once ran on.
 @pytest.mark.parametrize(
     "drain",
     [
@@ -412,7 +412,7 @@ def test_pending_and_reset_parity():
 
 
 # ---------------------------------------------------------------------------
-# machine-level identity (the group handler under real traffic)
+# machine-level identity (the Resource service chain under real traffic)
 
 
 def test_machine_run_identical_across_drains():
@@ -447,3 +447,16 @@ def test_machine_run_identical_across_drains():
         for p in range(4)
     ] == [(128.0, 832.0), (131.0, 835.0), (134.0, 838.0), (137.0, 841.0)]
     assert [stats[f"pfu[{p}]"]["words_requested"] for p in range(4)] == [320] * 4
+    # quiescence audit: the drained machine holds no packet, no service
+    # slot, no blocked head and no waiter anywhere in its fabric.
+    resources = []
+    for net in (machine.forward_network, machine.reverse_network):
+        resources += net.injection_ports
+        resources += [link for stage in net.stages for link in stage]
+    resources += machine.gmem.modules
+    for res in resources:
+        assert not res._queue and res.queued_words == 0, res.name
+        assert not res._serving, res.name
+        assert res._blocked_head is None and not res._waiters, res.name
+    assert machine.engine.pending() == 0
+    assert len(machine.engine._free) <= _FREE_LIST_MAX

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.core.engine import Engine, SimulationError
@@ -287,3 +290,31 @@ def test_reset_clears_queue_in_place():
     eng.schedule(2, lambda: seen.append(eng.now))
     eng.run()
     assert seen == [2]
+
+
+def test_no_module_imports_engine_privates():
+    # layering: components schedule through the public Engine API and
+    # never import the queue's private storage helpers.
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    paths = sorted(src.rglob("*.py"))
+    assert len(paths) > 50, f"no package found under {src}"
+    offenders = []
+    for path in paths:
+        rel = path.relative_to(src.parent)
+        if rel.as_posix() == "repro/core/engine.py":
+            continue
+        package = list(rel.parent.parts)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level:
+                base = package[: len(package) - node.level + 1]
+                module = ".".join(base + [module] if module else base)
+            if module == "repro.core.engine":
+                offenders += [
+                    f"{rel}:{node.lineno}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert offenders == []

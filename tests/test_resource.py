@@ -138,6 +138,63 @@ class TestStats:
         assert r.utilization(0.0) == 0.0
 
 
+class _StallOnce:
+    """Fault site stub: stalls the first service start by ``cycles`` and
+    records the time of every consultation."""
+
+    def __init__(self, engine, cycles):
+        self.engine = engine
+        self.cycles = cycles
+        self.calls = []
+
+    def before_service(self, resource, transit):
+        self.calls.append(self.engine.now)
+        return self.cycles if len(self.calls) == 1 else 0.0
+
+
+class TestRecovery:
+    def test_isolated_access_pays_no_recovery(self):
+        eng = Engine()
+        r = Resource(eng, "r", capacity_words=4, recovery_cycles=3.0)
+        out = []
+        sink = lambda p: out.append(eng.now)
+        start_transit(_packet(), [r, sink])
+        eng.schedule(10.0, lambda: start_transit(_packet(), [r, sink]))
+        eng.run()
+        assert out == [1.0, 11.0]
+
+    def test_back_to_back_spaced_by_recovery(self):
+        eng = Engine()
+        r = Resource(eng, "r", capacity_words=4, recovery_cycles=3.0)
+        out = []
+        for _ in range(3):
+            start_transit(_packet(), [r, lambda p: out.append(eng.now)])
+        eng.run()
+        # each departure opens a 3-cycle window before the next start
+        assert out == [1.0, 5.0, 9.0]
+        assert r.stats.busy_cycles == 3.0
+
+    @pytest.mark.parametrize(
+        "recovery, finishes, consulted",
+        [(0.0, [6.0, 7.0], [0.0, 5.0, 6.0]), (3.0, [6.0, 10.0], [0.0, 5.0, 9.0])],
+    )
+    def test_fault_stall_holds_the_slot(self, recovery, finishes, consulted):
+        eng = Engine()
+        r = Resource(eng, "r", capacity_words=4, recovery_cycles=recovery)
+        r.fault_hook = hook = _StallOnce(eng, 5.0)
+        out = []
+        for _ in range(2):
+            start_transit(_packet(), [r, lambda p: out.append(eng.now)])
+        eng.run(until=4.0)
+        # mid-stall: the head holds the slot, nothing is in service yet
+        assert r._serving and r.queued_packets == 2
+        assert r.stats.busy_cycles == 0.0
+        eng.run()
+        assert out == finishes
+        # the hook is consulted at each start, after any recovery hold
+        assert hook.calls == consulted
+
+
 class TestValidation:
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
