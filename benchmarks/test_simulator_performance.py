@@ -5,9 +5,6 @@ Regression guards for the hot paths: the event engine, the network
 pipeline, the dependence tester, and the stability metric.
 """
 
-import json
-import pathlib
-
 import pytest
 
 from repro.core.engine import Engine
@@ -17,21 +14,6 @@ from repro.cluster.ce import AwaitStream, StartPrefetch
 from repro.metrics.stability import stability
 from repro.restructurer.parser import parse_loop
 from repro.restructurer.pipeline import AUTOMATABLE_PIPELINE
-
-BENCH_JSON = pathlib.Path(__file__).parent / "output" / "BENCH_engine.json"
-
-
-def _record_rate(name: str, rate: float, unit: str) -> None:
-    """Merge one throughput figure into the BENCH_engine.json baseline,
-    so CI can archive engine events/sec alongside the benchmark run."""
-    BENCH_JSON.parent.mkdir(exist_ok=True)
-    try:
-        data = json.loads(BENCH_JSON.read_text())
-    except (OSError, ValueError):
-        data = {}
-    data[name] = {"rate": round(rate, 1), "unit": unit}
-    BENCH_JSON.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-
 
 def test_engine_event_throughput(benchmark):
     """Drain 20k events across 64 interleaved chains.
@@ -57,11 +39,6 @@ def test_engine_event_throughput(benchmark):
         return count["n"]
 
     assert benchmark(run) == 20_000
-    if benchmark.stats is not None:  # absent under --benchmark-disable
-        _record_rate(
-            "engine_event_throughput", 20_000 / benchmark.stats.stats.median,
-            "events/s",
-        )
 
 
 def test_prefetch_stream_simulation_rate(benchmark):
@@ -80,12 +57,6 @@ def test_prefetch_stream_simulation_rate(benchmark):
 
     cycles = benchmark(run)
     assert cycles > 0
-    if benchmark.stats is not None:  # absent under --benchmark-disable
-        _record_rate(
-            "prefetch_stream_cycles_per_second",
-            cycles / benchmark.stats.stats.median,
-            "sim-cycles/s",
-        )
 
 
 def test_restructurer_throughput(benchmark):

@@ -1,10 +1,9 @@
 """Host-time hotspot attribution: where the *wall-clock* goes.
 
 Everything else in the monitor package measures simulated time; this
-module measures the simulator itself.  The sim trajectory in
-``BENCH_sim.json`` shows the engine plateauing around a few hundred
-thousand events per second, and any rewrite aimed at that plateau
-needs to know *which frames* hold it first.
+module measures the simulator itself.  ``perfbench`` says how much
+host time each layer costs per simulated reference; a rewrite aimed at
+that cost needs to know *which frames* hold it first.
 
 :func:`profile_call` runs a callable under :mod:`cProfile` and folds
 the flat ``pstats`` rows two ways:
