@@ -68,10 +68,6 @@ SIGNAL_CATALOG: Dict[str, Tuple[str, ...]] = {
     # component wires up, including memory modules and cluster banks)
     "net.enqueue": ("resource", "packet", "time"),
     "net.dequeue": ("resource", "packet", "time"),
-    # a link's service completing (before any head-of-line blocking on
-    # the next hop); with ``net.enqueue``/``net.hop`` this splits a hop
-    # into queue-wait / service / blocked segments (keyed like net.hop)
-    "net.service": ("resource", "packet", "time"),
     # one consolidated record per queue occupancy, emitted at departure
     # with all three edge times.  Unlike every other signal, the payload
     # is ONE pre-packed eight-slot tuple —

@@ -310,8 +310,8 @@ class SpanCollector:
 
     Hop data rides the consolidated ``net.span`` signal — one emission
     per queue occupancy, at departure, carrying all three edge times —
-    instead of the ``net.enqueue``/``net.service``/``net.hop`` triple,
-    so a traced hop costs one subscriber callback rather than three
+    instead of the ``net.enqueue``/``net.hop`` point signals, so a
+    traced hop costs one subscriber callback rather than several
     (the point signals stay for the utilization monitors, which need
     the edges *at their times*).  Occupancies still in flight when the
     run ends have not departed and therefore produce no hop record.

@@ -84,7 +84,6 @@ class Resource:
         "depart_signal",
         "enqueue_signal",
         "dequeue_signal",
-        "service_end_signal",
         "span_signal",
         "fault_hook",
         "_has_service_hook",
@@ -132,17 +131,12 @@ class Resource:
         #: ``depart_signal`` -> ``net.hop`` (a packet leaving the server),
         #: ``enqueue_signal`` / ``dequeue_signal`` -> ``net.enqueue`` /
         #: ``net.dequeue`` (queue-occupancy edges for the monitors),
-        #: ``service_end_signal`` -> ``net.service`` (service finishing
-        #: *before* any head-of-line blocking on the next hop — the
-        #: timestamp the span layer needs to split a hop into
-        #: queue-wait / service / blocked segments).
         #: ``span_signal`` -> ``net.span``: ONE consolidated record per
         #: occupancy, emitted at departure with all three edge times, so
         #: a request tracer costs one callback per hop instead of three.
         self.depart_signal = NULL_SIGNAL
         self.enqueue_signal = NULL_SIGNAL
         self.dequeue_signal = NULL_SIGNAL
-        self.service_end_signal = NULL_SIGNAL
         self.span_signal = NULL_SIGNAL
         #: optional fault-injection site (see ``repro.faults``), set at
         #: injector attach time.  Same ``is not None`` fast path as the
@@ -232,9 +226,6 @@ class Resource:
         self._serving = False
         if self.span_signal.callbacks:
             transit.svc_t = self.engine._now
-        sig = self.service_end_signal
-        if sig.callbacks:
-            sig.emit(self, transit.packet, self.engine._now)
         if self._has_complete_hook and not self.on_service_complete(transit):
             self._depart(transit, None)
             return
