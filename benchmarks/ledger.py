@@ -24,7 +24,6 @@ Usage: ``python benchmarks/ledger.py`` (exit 0 = every count matches).
 from __future__ import annotations
 
 import json
-import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -36,10 +35,6 @@ MEASURED = HERE / "output" / "ledger.json"
 
 #: ``per_layer`` units that count simulated or interpreted work exactly.
 EXACT_UNITS = ("count", "cyc", "events/ref", "ratio")
-
-
-def python_minor() -> str:
-    return ".".join(platform.python_version_tuple()[:2])
 
 
 def judge(ledger: dict, results: dict, units: dict, python: str):
@@ -92,7 +87,8 @@ def main() -> int:
         print(f"ledger: running {workload}", flush=True)
         results[workload] = run_workload(workload)
     measured, problems, notices = judge(
-        json.loads(LEDGER.read_text()), results, units, python_minor())
+        json.loads(LEDGER.read_text()), results, units,
+        "%d.%d" % sys.version_info[:2])
     MEASURED.parent.mkdir(exist_ok=True)
     MEASURED.write_text(json.dumps(measured, indent=1) + "\n")
     for line in notices + problems:
